@@ -19,9 +19,6 @@ from .sphere import (
     MobiusMap,
     as_extended,
     chordal_distance,
-    mobius_apply,
-    mobius_compose,
-    mobius_image_of_unit_circle,
     mobius_through,
 )
 from .cf import (

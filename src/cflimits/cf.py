@@ -13,31 +13,79 @@ untouched by this.
 
 Convergence in the extended plane is judged in the chordal metric: a mere
 pair of close consecutive approximants is easily faked by a slowly
-rotating unit eigenvalue ratio, so instead we require a configurable
-stability window of consecutive small steps.  That criterion is a
-heuristic, not a proof.
+rotating unit eigenvalue ratio, so instead we require a stability window
+of consecutive small steps.  That criterion is a heuristic, not a proof.
+``Monitor`` is the one place that counts such windows for every limit
+sequence of the package, ``renorm_exponent`` the one power-of-two
+renormalizer, and ``geometric_tail`` the one geometric tail bound.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from .errors import (
-    IndeterminateValueError,
-    ZeroPartialNumeratorError,
-    ZeroScaleError,
-)
-from .sphere import INFINITY, ExtendedComplex, as_extended, chordal_distance
+from .errors import ZeroPartialNumeratorError, ZeroScaleError
+from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
 
 #: Default renormalization trigger for convergent pairs.
 RENORM_THRESHOLD = 1e150
 
-#: Default length of the stability window used by the convergence tests.
+#: Stability windows: whole sequences, residue classes, and period blocks.
 STABILITY_WINDOW = 16
+RESIDUE_WINDOW = 8
+BLOCK_WINDOW = 4
+
+
+class Monitor:
+    """The stopping rule shared by every limit sequence of the package.
+
+    ``update`` takes the latest step size of the sequence (``math.inf``
+    while there is no previous term) and, where the caller has one, a
+    bound on the remaining distance to the limit.  It returns "window"
+    once ``window`` consecutive steps are under ``tol``, "tail-bound" when
+    the bound is, and None otherwise.  A window stop is a heuristic: it is
+    taken even while a supplied tail bound still exceeds ``tol``.
+    """
+
+    __slots__ = ("tol", "window", "stable", "last_delta")
+
+    def __init__(self, tol: float, window: int):
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        self.tol = tol
+        self.window = window
+        self.stable = 0
+        self.last_delta: float | None = None
+
+    def update(self, delta: float, tail_bound: float | None = None) -> str | None:
+        self.last_delta = delta
+        self.stable = self.stable + 1 if delta < self.tol else 0
+        if self.stable >= self.window:
+            return "window"
+        if tail_bound is not None and tail_bound < self.tol:
+            return "tail-bound"
+        return None
+
+
+def renorm_exponent(mag: float, threshold: float) -> int:
+    """k with mag * 2**-k in [1/2, 1) once mag leaves [1/threshold, threshold], else 0.
+
+    Scaling by a power of two is exact, so renormalized pairs keep their
+    quotients bit for bit.
+    """
+    if mag > threshold or (0.0 < mag < 1.0 / threshold):
+        return math.frexp(mag)[1]
+    return 0
+
+
+def geometric_tail(weight: float, ratio: float) -> Callable[[int], float]:
+    """n -> sum_{k>n} weight * ratio**k for 0 <= ratio < 1 (and n >= 0)."""
+    return lambda n: weight * ratio ** (n + 1) / (1.0 - ratio)
 
 
 @dataclass(frozen=True)
@@ -94,31 +142,30 @@ class ConvergentStream:
 
     def _renormalize(self) -> None:
         mag = max(abs(self.num), abs(self.den), abs(self.num_prev), abs(self.den_prev))
-        if mag > self.renorm_threshold or (0.0 < mag < 1.0 / self.renorm_threshold):
-            k = math.frexp(mag)[1]  # power-of-two scaling is exact
+        k = renorm_exponent(mag, self.renorm_threshold)
+        if k:
             s = math.ldexp(1.0, -k)
             self.num *= s
             self.den *= s
             self.num_prev *= s
             self.den_prev *= s
             self.exponent += k
-        pm = abs(self._a_prod)
-        if pm > self.renorm_threshold or (0.0 < pm < 1.0 / self.renorm_threshold):
-            k = math.frexp(pm)[1]
+        k = renorm_exponent(abs(self._a_prod), self.renorm_threshold)
+        if k:
             self._a_prod *= math.ldexp(1.0, -k)
             self._a_prod_exp += k
 
     def value(self) -> ExtendedComplex:
         """P_n / Q_n on the sphere; invariant under renormalization."""
-        return _projective(self.num, self.den)
+        return projective(self.num, self.den)
 
     def modified(self, omega) -> ExtendedComplex:
         """(P_n + w P_{n-1}) / (Q_n + w Q_{n-1}); w may be infinity."""
         omega = as_extended(omega)
         if omega.is_infinity:
-            return _projective(self.num_prev, self.den_prev)
+            return projective(self.num_prev, self.den_prev)
         w = omega.z
-        return _projective(self.num + w * self.num_prev, self.den + w * self.den_prev)
+        return projective(self.num + w * self.num_prev, self.den + w * self.den_prev)
 
     def determinant_residual(self) -> float:
         """Deviation from the determinant identity, condition-aware.
@@ -158,17 +205,6 @@ def convergents(cf: ContinuedFraction, renorm_threshold: float = RENORM_THRESHOL
     return ConvergentStream(cf, renorm_threshold)
 
 
-def _projective(num: complex, den: complex) -> ExtendedComplex:
-    if den == 0:
-        if num == 0:
-            raise IndeterminateValueError("projective pair degenerated to (0, 0)")
-        return INFINITY
-    value = num / den
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        return INFINITY
-    return ExtendedComplex(value)
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of an approximant iteration.
@@ -184,69 +220,54 @@ class EvalResult:
     history: tuple[ExtendedComplex, ...] = field(default=())
 
 
-class _StabilityTracker:
-    """Declares convergence after ``window`` consecutive chordally-small steps."""
+def _settle(
+    samples: Iterator[tuple[int, ExtendedComplex | None]], tol: float, window: int
+) -> EvalResult:
+    """Run (n, approximant) samples through a Monitor of their chordal steps.
 
-    def __init__(self, tol: float, window: int):
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        self.tol = tol
-        self.window = window
-        self.prev: ExtendedComplex | None = None
-        self.stable = 0
-        self.last_delta: float | None = None
-        self.history: list[ExtendedComplex] = []
-        self.n = 0
-
-    def push(self, n: int, value: ExtendedComplex) -> EvalResult | None:
-        self.n = n
-        self.history.append(value)
-        if len(self.history) > self.window:
-            self.history.pop(0)
-        if self.prev is not None:
-            self.last_delta = chordal_distance(value, self.prev)
-            self.stable = self.stable + 1 if self.last_delta < self.tol else 0
-            if self.stable >= self.window:
-                self.prev = value
-                return EvalResult(True, value, n, self.last_delta, tuple(self.history))
-        self.prev = value
-        return None
-
-    def terminated(self) -> EvalResult:
-        """The fraction ended; its last approximant is its exact value."""
-        return EvalResult(True, self.prev, self.n, self.last_delta, tuple(self.history))
-
-    def not_converged(self) -> EvalResult:
-        return EvalResult(False, None, self.n, self.last_delta, tuple(self.history))
+    A ``None`` approximant means the fraction terminated, so the previous
+    sample is its exact value.
+    """
+    monitor = Monitor(tol, window)
+    history: deque[ExtendedComplex] = deque(maxlen=window)
+    n, prev = 0, None
+    for k, value in samples:
+        if value is None:
+            return EvalResult(True, prev, n, monitor.last_delta, tuple(history))
+        n = k
+        history.append(value)
+        if prev is not None and monitor.update(chordal_distance(value, prev)):
+            return EvalResult(True, value, n, monitor.last_delta, tuple(history))
+        prev = value
+    return EvalResult(False, None, n, monitor.last_delta, tuple(history))
 
 
 def evaluate(
     cf: ContinuedFraction,
     tol: float,
     max_n: int,
-    window: int = STABILITY_WINDOW,
     on_zero_numerator: str = "raise",
 ) -> EvalResult:
-    """Iterate approximants until chordally stable over ``window`` steps.
+    """Iterate approximants until chordally stable over ``STABILITY_WINDOW`` steps.
 
     ``on_zero_numerator`` may be "raise" (default, the generic contract) or
     "terminate": a zero partial numerator then truncates the fraction and
     the current approximant is returned as its exact value.
     """
-    tracker = _StabilityTracker(tol, window)
-    stream = ConvergentStream(cf)
-    tracker.push(0, stream.value())
-    for _ in range(max_n):
-        try:
-            stream.step()
-        except ZeroPartialNumeratorError:
-            if on_zero_numerator == "terminate":
-                return tracker.terminated()
-            raise
-        result = tracker.push(stream.n, stream.value())
-        if result is not None:
-            return result
-    return tracker.not_converged()
+
+    def samples():
+        stream = ConvergentStream(cf)
+        yield 0, stream.value()
+        for _ in range(max_n):
+            try:
+                stream.step()
+            except ZeroPartialNumeratorError:
+                if on_zero_numerator != "terminate":
+                    raise
+                yield stream.n, None  # ends _settle
+            yield stream.n, stream.value()
+
+    return _settle(samples(), tol, STABILITY_WINDOW)
 
 
 def modified_value(
@@ -262,14 +283,14 @@ def modified_value(
     identity (P_n + w P_{n-1}) / (Q_n + w Q_{n-1}).  With w identically 0
     this reproduces ``evaluate`` exactly.
     """
-    tracker = _StabilityTracker(tol, window)
-    stream = ConvergentStream(cf)
-    for _ in range(max_n):
-        stream.step()
-        result = tracker.push(stream.n, stream.modified(w(stream.n)))
-        if result is not None:
-            return result
-    return tracker.not_converged()
+
+    def samples():
+        stream = ConvergentStream(cf)
+        for _ in range(max_n):
+            stream.step()
+            yield stream.n, stream.modified(w(stream.n))
+
+    return _settle(samples(), tol, window)
 
 
 def limit_along_residue(
@@ -278,25 +299,21 @@ def limit_along_residue(
     modulus: int,
     tol: float,
     max_n: int,
-    window: int = 8,
     w: Callable[[int], complex | ExtendedComplex] | None = None,
 ) -> EvalResult:
     """Limit of (optionally modified) approximants along n = residue (mod m)."""
-    tracker = _StabilityTracker(tol, window)
-    stream = ConvergentStream(cf)
 
-    def current() -> ExtendedComplex:
-        return stream.value() if w is None else stream.modified(w(stream.n))
+    def samples():
+        stream = ConvergentStream(cf)
+        current = stream.value if w is None else (lambda: stream.modified(w(stream.n)))
+        if residue % modulus == 0:
+            yield 0, current()
+        for _ in range(max_n):
+            stream.step()
+            if stream.n % modulus == residue % modulus:
+                yield stream.n, current()
 
-    if residue % modulus == 0:
-        tracker.push(0, current())
-    for _ in range(max_n):
-        stream.step()
-        if stream.n % modulus == residue % modulus:
-            result = tracker.push(stream.n, current())
-            if result is not None:
-                return result
-    return tracker.not_converged()
+    return _settle(samples(), tol, RESIDUE_WINDOW)
 
 
 def equivalence_transform(cf: ContinuedFraction, scale: Callable[[int], complex]) -> ContinuedFraction:

@@ -147,10 +147,7 @@ def _sequence(obj: Any, where: str) -> tuple[Callable[[int], complex], Callable[
         ratio = float(obj["ratio"])
         if not 0.0 <= ratio < 1.0:
             raise ConfigError(f"{where}.ratio must lie in [0, 1)")
-        return (
-            lambda n: coeff * ratio**n,
-            lambda n: abs(coeff) * ratio ** (n + 1) / (1.0 - ratio) if ratio else 0.0,
-        )
+        return (lambda n: coeff * ratio**n), _cf.geometric_tail(abs(coeff), ratio)
     if kind == "poly-qn":
         _require_keys(obj, {"type", "q", "coefficients"}, where)
         q = _complex_of(obj["q"], f"{where}.q")
@@ -159,11 +156,9 @@ def _sequence(obj: Any, where: str) -> tuple[Callable[[int], complex], Callable[
         coeffs = [_complex_of(c, f"{where}.coefficients") for c in obj["coefficients"]]
         if coeffs and coeffs[0] != 0:
             raise ConfigError(f"{where}.coefficients must have zero constant term")
-        weight = sum(abs(c) for c in coeffs[1:])
-        r = abs(q)
         return (
             lambda n: sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0),
-            lambda n: weight * r ** (n + 1) / (1.0 - r) if r else 0.0,
+            _cf.geometric_tail(sum(abs(c) for c in coeffs[1:]), abs(q)),
         )
     raise ConfigError(f"{where}.type must be zero | geometric | poly-qn, got {kind!r}")
 
@@ -496,8 +491,7 @@ def cmd_matrix_product(config: dict, out_dir: str | None) -> int:
     tol = float(config.get("tol", 1e-10))
     side = config.get("side", "left")
     dim = m.shape[0]
-    weight = _mp.entry_norm(e)
-    tail = lambda n: weight * ratio ** (n + 1) / (1.0 - ratio) if ratio else 0.0
+    tail = _cf.geometric_tail(_mp.entry_norm(e), ratio)
     d_seq = lambda i: m + ratio**i * e
 
     if mode == "residue":
@@ -556,9 +550,8 @@ def cmd_recurrence(config: dict, out_dir: str | None) -> int:
     def coefficients(n: int):
         return [limits[r] + parsed[r][0] * parsed[r][1] ** n for r in range(p)]
 
-    tail = None
-    if max_ratio:
-        tail = lambda n: weight * max_ratio ** (n + 1) / (1.0 - max_ratio)
+    # With every ratio 0 no bound is passed: a zero bound would stop at once.
+    tail = _cf.geometric_tail(weight, max_ratio) if max_ratio else None
     rec = _rc.PoincareRecurrence.build(coefficients, limits, tail_bound=tail)
     result = _rc.asymptotic_coefficients(rec, initial, tol)
     doc = {
@@ -587,12 +580,11 @@ def cmd_rs_cf(config: dict, out_dir: str | None) -> int:
         raise ConfigError("perturbation ratio must lie in [0, 1)")
     k_max = int(config.get("k_max", 60))
     tol = float(config.get("tol", 1e-10))
-    weight = _mp.entry_norm(e)
     system = _rs.RSSystem(
         r, s,
         lambda k: theta + ratio**k * e,
         theta_limit=theta,
-        tail_bound=lambda n: weight * ratio ** (n + 1) / (1.0 - ratio) if ratio else 0.0,
+        tail_bound=_cf.geometric_tail(_mp.entry_norm(e), ratio),
     )
     asym = _rs.rs_asymptotics(system, tol)
     samples = []
@@ -629,8 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config",
                        required=name not in ("verify",))
         p.add_argument("--out", help="directory for emitted files")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-n", type=int, default=None)
+        if name in ("limit-set", "figure"):
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--max-n", type=int, default=None)
     return parser
 
 
@@ -652,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rs-cf":
             return cmd_rs_cf(config, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError: out-of-range numbers, e.g. tol <= 0
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergenceError as exc:

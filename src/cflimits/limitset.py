@@ -39,6 +39,7 @@ from .sphere import (
     MobiusMap,
     chordal_distance,
     mobius_through,
+    projective,
     sqrt_with_positive_branch,
 )
 
@@ -184,20 +185,14 @@ def geometric_spec(
         if not 0.0 <= ratio < 1.0:
             raise ValueError("geometric ratios must lie in [0, 1)")
 
-    def tail(n: int) -> float:
-        t = 0.0
-        if p_coeff and p_ratio:
-            t += abs(p_coeff) * p_ratio ** (n + 1) / (1.0 - p_ratio)
-        if q_coeff and q_ratio:
-            t += abs(q_coeff) * q_ratio ** (n + 1) / (1.0 - q_ratio)
-        return t
-
+    p_tail = _cf.geometric_tail(abs(p_coeff), p_ratio)
+    q_tail = _cf.geometric_tail(abs(q_coeff), q_ratio)
     return EllipticCFSpec(
         alpha,
         beta,
         lambda n: p_coeff * p_ratio**n,
         lambda n: q_coeff * q_ratio**n,
-        tail,
+        lambda n: p_tail(n) + q_tail(n),
     )
 
 
@@ -248,7 +243,6 @@ def compute_h_direct(
     spec: EllipticCFSpec,
     tol: float = 1e-10,
     max_n: int = 100_000,
-    window: int = _cf.STABILITY_WINDOW,
 ) -> DirectH:
     """The map h from the four renormalization-corrected limit sequences.
 
@@ -258,8 +252,9 @@ def compute_h_direct(
         c_n = alpha^-n (Q_n - beta Q_{n-1}),   d_n = -beta^-n (Q_n - alpha Q_{n-1}),
 
     with the stream's power-of-two exponent undone.  Stops when all four are
-    stable within ``tol`` over ``window`` consecutive steps, or when the
-    spec's tail bound times the running magnitude bound drops under ``tol``.
+    stable within ``tol`` over ``STABILITY_WINDOW`` consecutive steps, or
+    when the spec's tail bound times the running magnitude bound drops
+    under ``tol``.
     Also accumulates (beta - alpha) * prod(1 - q_n/(alpha beta)), which the
     determinant of h must equal.
     """
@@ -268,12 +263,11 @@ def compute_h_direct(
     stream = _cf.convergents(build_cf(spec))
     ab = (alpha * beta).value
 
+    monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
     prev = None
-    stable = 0
     delta = math.inf
     mag_bound = 1.0
     product = 1.0 + 0.0j
-    quad = None
     for _ in range(max_n):
         stream.step()
         n = stream.n
@@ -292,25 +286,23 @@ def compute_h_direct(
         mag_bound = max(mag_bound, abs(pn), abs(qn))
         if prev is not None:
             delta = max(abs(x - y) for x, y in zip(quad, prev))
-            stable = stable + 1 if delta < tol else 0
         prev = quad
-        if stable >= window:
-            break
-        if spec.tail_bound is not None and 2.0 * mag_bound * spec.tail_bound(n) < tol:
+        tail = None if spec.tail_bound is None else 2.0 * mag_bound * spec.tail_bound(n)
+        if monitor.update(delta, tail):
             break
     else:
         raise NoConvergenceError(
             f"limit sequences not stable after {max_n} terms", last_delta=delta
         )
     det_product = (b_val - a_val) * product
-    return DirectH(MobiusMap(*quad), det_product, stream.n, delta if prev else math.inf)
+    return DirectH(MobiusMap(*quad), det_product, stream.n, delta)
 
 
 def det_product(spec: EllipticCFSpec, tol: float = 1e-12, max_n: int = 100_000) -> complex:
     """(beta - alpha) * prod(1 - q_n/(alpha beta)) with tail-controlled truncation."""
     ab = (spec.alpha * spec.beta).value
     product = 1.0 + 0.0j
-    stable = 0
+    monitor = _cf.Monitor(tol * 1e-3, 32)
     for n in range(1, max_n + 1):
         qn = complex(spec.q(n))
         if qn == ab:
@@ -318,8 +310,7 @@ def det_product(spec: EllipticCFSpec, tol: float = 1e-12, max_n: int = 100_000) 
         product *= 1.0 - qn / ab
         if spec.tail_bound is not None and spec.tail_bound(n) < tol:
             break
-        stable = stable + 1 if abs(qn) < tol * 1e-3 else 0
-        if stable >= 32:
+        if monitor.update(abs(qn)):
             break
     else:
         raise NoConvergenceError(f"determinant product not stable after {max_n} factors")
@@ -446,14 +437,13 @@ def residue_limits(
     spec: EllipticCFSpec,
     tol: float = 1e-11,
     max_blocks: int = 20_000,
-    window: int = 4,
     distinct_tol: float = 1e-6,
 ) -> ResidueLimitsResult:
     """Measure A_i = lim P_{mk+i}, B_i = lim Q_{mk+i} for root-of-unity data.
 
     Requires alpha and beta to be exact roots of unity; m is the least
     common order.  Convergence is declared when whole blocks of 2m values
-    are stable across ``window`` consecutive periods (or the tail bound
+    are stable across ``BLOCK_WINDOW`` consecutive periods (or the tail bound
     certifies it).  The closed forms reconstructing A_i from (A_0, A_1),
     the determinant identity, and the rank periodicity are all evaluated
     and reported as residuals.
@@ -476,7 +466,7 @@ def residue_limits(
 
     block: list[tuple[complex, complex]] = [snapshot()]  # index 0 holds P_0, Q_0
     prev_block: list[tuple[complex, complex]] | None = None
-    stable = 0
+    monitor = _cf.Monitor(tol, _cf.BLOCK_WINDOW)
     delta = math.inf
     mag_bound = 1.0
     for k in range(max_blocks):
@@ -490,22 +480,14 @@ def residue_limits(
                 max(abs(x - u), abs(y - v))
                 for (x, y), (u, v) in zip(block, prev_block)
             )
-            stable = stable + 1 if delta < tol else 0
         prev_block = block
-        if stable >= window:
-            break
-        if (
-            prev_block is not None
-            and spec.tail_bound is not None
+        tail = None
+        if spec.tail_bound is not None and k >= 1:
             # the first block entry P_{mk} carries the largest tail error
-            and 2.0 * mag_bound * spec.tail_bound(stream.n - m + 1) < tol
-            and k >= 1
-        ):
+            tail = 2.0 * mag_bound * spec.tail_bound(stream.n - m + 1)
+        if monitor.update(delta, tail):
             break
         block = []
-        stream.step()
-        product *= 1.0 - complex(spec.q(stream.n)) / ab
-        block.append(snapshot())
     else:
         raise NoConvergenceError(
             f"residue blocks not stable after {max_blocks} periods", last_delta=delta
@@ -513,7 +495,7 @@ def residue_limits(
 
     A = tuple(pq[0] for pq in prev_block)
     B = tuple(pq[1] for pq in prev_block)
-    values = tuple(_quotient(A[i], B[i]) for i in range(m))
+    values = tuple(projective(A[i], B[i]) for i in range(m))
 
     av, bv = alpha.value, beta.value
     closed = 0.0
@@ -551,29 +533,6 @@ def residue_limits(
         det_identity_residual=det_res,
         periodicity_residual=period_res,
     )
-
-
-def residue_det_pair(result: ResidueLimitsResult, alpha: UnitModulusNumber,
-                     beta: UnitModulusNumber, i: int, j: int) -> tuple[complex, complex]:
-    """Measured and predicted values of A_i B_j - A_j B_i."""
-    lhs = result.A[i % result.m] * result.B[j % result.m] - result.A[j % result.m] * result.B[i % result.m]
-    av, bv = alpha.value, beta.value
-    rhs = (
-        -((alpha * beta).power(j + 1).value)
-        * (av ** (i - j) - bv ** (i - j))
-        / (av - bv)
-        * result.product
-    )
-    return lhs, rhs
-
-
-def _quotient(num: complex, den: complex) -> ExtendedComplex:
-    if den == 0:
-        return INFINITY
-    value = num / den
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        return INFINITY
-    return ExtendedComplex(value)
 
 
 def normalize_elliptic(
@@ -645,14 +604,12 @@ def q_cf_rank(
         return lambda n: sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0)
 
     weight = sum(abs(c) for c in list(f_coeffs)[1:]) + sum(abs(c) for c in list(g_coeffs)[1:])
-    r = abs(q)
-
     spec = EllipticCFSpec(
         omega1,
         omega2,
         p=poly(f_coeffs),
         q=poly(g_coeffs),
-        tail_bound=lambda n: weight * r ** (n + 1) / (1.0 - r),
+        tail_bound=_cf.geometric_tail(weight, abs(q)),
     )
     return residue_limits(spec, tol)
 

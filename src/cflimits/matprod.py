@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cf import BLOCK_WINDOW, STABILITY_WINDOW, Monitor
 from .errors import (
     BudgetExceededError,
     MNotFiniteOrderError,
@@ -29,6 +30,9 @@ from .errors import (
 )
 
 Side = str  # "left" | "right"
+
+#: Steps between consistency checks of the incrementally inverted product.
+INVERSE_CHECK_EVERY = 64
 
 
 def entry_norm(a: np.ndarray) -> float:
@@ -102,8 +106,6 @@ def cocycle_limit(
     pair: MatrixSequencePair,
     tol: float = 1e-10,
     max_terms: int = 200_000,
-    window: int = 16,
-    check_every: int = 64,
 ) -> CocycleResult:
     """F = lim (prod D_i)(prod M_i)^-1, orientation per ``pair.side``.
 
@@ -121,7 +123,7 @@ def cocycle_limit(
     prod_m_inv = eye.copy()
     prev_f: np.ndarray | None = None
     delta = math.inf
-    stable = 0
+    monitor = Monitor(tol, STABILITY_WINDOW)
     nonsingular = True
     f = eye.copy()
     bound_m = 1.0
@@ -148,7 +150,7 @@ def cocycle_limit(
                 f"comparison product norm {max(norm_m, norm_minv):.3g} crossed the "
                 f"ceiling {pair.norm_ceiling:.3g} at step {i}"
             )
-        if i % check_every == 0:
+        if i % INVERSE_CHECK_EVERY == 0:
             drift = entry_norm(prod_m @ prod_m_inv - eye)
             if drift > 1e-12:
                 prod_m_inv = np.linalg.inv(prod_m)
@@ -158,14 +160,11 @@ def cocycle_limit(
                     )
         if prev_f is not None:
             delta = entry_norm(f - prev_f)
-            stable = stable + 1 if delta < tol else 0
         prev_f = f
-        if stable >= window:
-            return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, delta)
-        if (
-            pair.tail_bound is not None
-            and d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * pair.tail_bound(i) < tol
-        ):
+        tail = None
+        if pair.tail_bound is not None:
+            tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * pair.tail_bound(i)
+        if monitor.update(delta, tail):
             return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, delta)
     raise BudgetExceededError(f"cocycle not stable after {max_terms} factors")
 
@@ -188,7 +187,6 @@ def residue_matrix_limits(
     side: Side = "left",
     tail_bound: Callable[[int], float] | None = None,
     max_blocks: int = 50_000,
-    window: int = 4,
 ) -> ResidueMatrixResult:
     """F = lim of whole-period partial products when D_n -> M with M^order = I.
 
@@ -204,7 +202,7 @@ def residue_matrix_limits(
     product = eye.copy()
     prev_block: np.ndarray | None = None
     delta = math.inf
-    stable = 0
+    monitor = Monitor(tol, BLOCK_WINDOW)
     n = 0
     for k in range(1, max_blocks + 1):
         for _ in range(order):
@@ -213,16 +211,11 @@ def residue_matrix_limits(
             product = product @ dn if side == "left" else dn @ product
         if prev_block is not None:
             delta = entry_norm(product - prev_block)
-            stable = stable + 1 if delta < tol else 0
         prev_block = product
-        if stable >= window:
-            break
-        if (
-            tail_bound is not None
-            and prev_block is not None
-            and k >= 2
-            and d * max(1.0, entry_norm(product)) * order * tail_bound(n) < tol
-        ):
+        tail = None
+        if tail_bound is not None and k >= 2:
+            tail = d * max(1.0, entry_norm(product)) * order * tail_bound(n)
+        if monitor.update(delta, tail):
             break
     else:
         raise BudgetExceededError(f"residue blocks not stable after {max_blocks} periods")

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import matprod as _mp
+from .cf import BLOCK_WINDOW, Monitor, renorm_exponent
 from .errors import (
     BudgetExceededError,
     RootsNotDistinctError,
@@ -200,7 +201,6 @@ def residue_limits_recurrence(
     initial: Sequence[complex],
     tol: float = 1e-10,
     max_blocks: int = 50_000,
-    window: int = 4,
 ) -> RecurrenceResidues:
     """l_j = lim x_{nm+j} when every root is an exact root of unity.
 
@@ -226,21 +226,17 @@ def residue_limits_recurrence(
     values = x_stream()
     prev: list[complex] | None = None
     delta = math.inf
-    stable = 0
+    monitor = Monitor(tol, BLOCK_WINDOW)
     block: list[complex] = []
     for k in range(max_blocks):
         block = [next(values) for _ in range(m)]
         if prev is not None:
             delta = max(abs(x - y) for x, y in zip(block, prev))
-            stable = stable + 1 if delta < tol else 0
         prev = block
-        if stable >= window:
-            break
-        if (
-            rec.tail_bound is not None
-            and k >= 2
-            and 2.0 * max(1.0, max(abs(v) for v in block)) * rec.tail_bound(k * m) < tol
-        ):
+        tail = None
+        if rec.tail_bound is not None and k >= 2:
+            tail = 2.0 * max(1.0, max(abs(v) for v in block)) * rec.tail_bound(k * m)
+        if monitor.update(delta, tail):
             break
     else:
         raise BudgetExceededError(f"residue blocks not stable after {max_blocks} periods")
@@ -284,9 +280,8 @@ def perron_limsup_diagnostic(
         row = coefficients(n)
         nxt = sum(complex(row[r]) * state[r] for r in range(p))
         state = state[1:] + [nxt]
-        peak = max(abs(v) for v in state)
-        if peak > 1e100 or (0.0 < peak < 1e-100):
-            k = math.frexp(peak)[1]
+        k = renorm_exponent(max(abs(v) for v in state), 1e100)
+        if k:
             s = math.ldexp(1.0, -k)
             state = [v * s for v in state]
             exponent += k

@@ -22,6 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import matprod as _mp
+from .cf import RENORM_THRESHOLD, renorm_exponent
 from .errors import SingularBError
 
 Matrix = list[list[complex]]
@@ -96,11 +97,7 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def rs_approximants(
-    sys: RSSystem,
-    k_max: int,
-    renorm_threshold: float = 1e150,
-) -> Iterator[tuple[int, np.ndarray | None]]:
+def rs_approximants(sys: RSSystem, k_max: int) -> Iterator[tuple[int, np.ndarray | None]]:
     """Yield (k, s_k) for k = 1..k_max; s_k is None where B is singular.
 
     The product theta_k ... theta_1 is accumulated incrementally and
@@ -112,9 +109,9 @@ def rs_approximants(
     for k in range(1, k_max + 1):
         factor = sys.factor(k)
         product = factor if product is None else _matmul(factor, product)
-        peak = max(abs(v) for row in product for v in row)
-        if peak > renorm_threshold or (0.0 < peak < 1.0 / renorm_threshold):
-            scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        k_exp = renorm_exponent(max(abs(v) for row in product for v in row), RENORM_THRESHOLD)
+        if k_exp:
+            scale = math.ldexp(1.0, -k_exp)
             product = [[v * scale for v in row] for row in product]
         try:
             yield k, f_projection(np.asarray(product, dtype=complex), sys.r, sys.s)

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMapError, DegenerateTripleError
+from .errors import DegenerateMapError, DegenerateTripleError, IndeterminateValueError
 
 # Scale-free determinant tolerance: |det| / max(|a|..|d|)^2 below this
 # rejects construction of a Moebius map.
@@ -183,11 +183,11 @@ class MobiusMap:
         else:
             num = self.a * z.z + self.b
             den = self.c * z.z + self.d
-            return _ratio(num, den)
+            return projective(num, den)
         # (a z + b)/(c z + d) == (a + b w)/(c + d w) with w = 1/z.
         num = self.a + self.b * w
         den = self.c + self.d * w
-        return _ratio(num, den)
+        return projective(num, den)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """The map ``self`` after ``other`` (coefficient matrix product)."""
@@ -234,8 +234,11 @@ class MobiusMap:
         return Circle(center, abs(self.det) / abs(denom))
 
 
-def _ratio(num: complex, den: complex) -> ExtendedComplex:
+def projective(num: complex, den: complex) -> ExtendedComplex:
+    """The sphere point num/den of a projective pair; (0, 0) has no value."""
     if den == 0:
+        if num == 0:
+            raise IndeterminateValueError("projective pair degenerated to (0, 0)")
         return INFINITY
     value = num / den
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -243,18 +246,6 @@ def _ratio(num: complex, den: complex) -> ExtendedComplex:
         # indistinguishable from infinity at ~1e-308 chordal error.
         return INFINITY
     return ExtendedComplex(value)
-
-
-def mobius_apply(h: MobiusMap, z) -> ExtendedComplex:
-    return h.apply(z)
-
-
-def mobius_compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
-    return g.compose(h)
-
-
-def mobius_image_of_unit_circle(h: MobiusMap) -> CircleOrLine:
-    return h.image_of_unit_circle()
 
 
 def mobius_through(A, B, C) -> MobiusMap:

@@ -11,7 +11,7 @@ from cflimits.errors import (
     ZeroPartialNumeratorError,
     ZeroScaleError,
 )
-from cflimits.sphere import INFINITY, ExtendedComplex, chordal_distance
+from cflimits.sphere import INFINITY, ExtendedComplex, chordal_distance, projective
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -129,7 +129,7 @@ class TestValue:
 
     def test_indeterminate_pair(self):
         with pytest.raises(IndeterminateValueError):
-            C._projective(0.0, 0.0)
+            projective(0.0, 0.0)
 
 
 class TestEvaluate:

@@ -74,6 +74,22 @@ class TestConfigValidation:
         assert code == cli.EXIT_NUMERIC
         assert "budget" in capsys.readouterr().err
 
+    def test_non_positive_tol_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "g.json", WORKED_CONFIG)
+        assert cli.main(["limit-set", "--config", path, "--tol", "0"]) == cli.EXIT_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-2"], ["--max-n", "3"]])
+    @pytest.mark.parametrize("command", ["verify", "matrix-product", "recurrence", "rs-cf"])
+    def test_tol_and_max_n_rejected_where_unused(self, tmp_path, capsys, command, flag):
+        # Only limit-set and figure read these flags; elsewhere argparse must
+        # refuse them rather than let them pass silently.
+        path = write_config(tmp_path, "any.json", {"kind": command})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, *flag])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
 
 class TestLimitSetCommand:
     def test_worked_example_report(self, tmp_path, capsys):
