@@ -177,6 +177,12 @@ def _elliptic_spec(obj: dict, where: str = "config") -> _ls.EllipticCFSpec:
     )
 
 
+def _budget(max_n: int) -> int:
+    if max_n < 1:
+        raise ConfigError(f"max_n must be at least 1, got {max_n}")
+    return max_n
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -232,7 +238,7 @@ def cmd_limit_set(config: dict, out_dir: str | None, tol: float | None, max_n: i
     report = _ls.limit_set_report(
         spec,
         tol=tol if tol is not None else float(config.get("tol", 1e-10)),
-        max_n=max_n if max_n is not None else int(config.get("max_n", 200_000)),
+        max_n=_budget(max_n if max_n is not None else int(config.get("max_n", 200_000))),
     )
     h = report.h
     doc = {
@@ -304,6 +310,7 @@ def approximant_points(spec: _ls.EllipticCFSpec, count: int) -> list[tuple[int, 
 def cmd_figure(config: dict, out_dir: str | None, tol: float | None, max_n: int | None) -> int:
     if config.get("kind") != "figure":
         raise ConfigError('figure needs config kind "figure"')
+    max_n = _budget(max_n if max_n is not None else 200_000)
     _require_keys(config, {"kind", "which", "count", "trim", "cf", "basename"}, "config")
     which = config.get("which", "custom")
     if which not in ("fig3", "fig4", "fig5", "fig6", "custom"):
@@ -323,7 +330,7 @@ def cmd_figure(config: dict, out_dir: str | None, tol: float | None, max_n: int 
     csv_path = os.path.join(out, basename + ".csv")
     run_tol = tol if tol is not None else 1e-10
 
-    report = _ls.limit_set_report(spec, tol=run_tol, max_n=max_n or 200_000)
+    report = _ls.limit_set_report(spec, tol=run_tol, max_n=max_n)
 
     if which == "fig6":
         trim = float(config.get("trim", 10.0))

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import cf as _cf
 from .errors import (
     EqualAlphaBetaError,
@@ -34,10 +36,13 @@ from .errors import (
 )
 from .sphere import (
     INFINITY,
+    INVERT_ABOVE,
     CircleOrLine,
     ExtendedComplex,
     MobiusMap,
     chordal_distance,
+    chordal_distances,
+    hypot_one,
     mobius_through,
     projective,
     sqrt_with_positive_branch,
@@ -456,7 +461,8 @@ def residue_limits(
     b_exp = int(beta.turns * m) % m
     rank = m // math.gcd(abs(b_exp - a_exp), m)
 
-    ab = (alpha * beta).value
+    ab_unit = alpha * beta
+    ab = ab_unit.value
     stream = _cf.convergents(build_cf(spec))
     product = 1.0 + 0.0j
 
@@ -507,17 +513,12 @@ def residue_limits(
     det_res = 0.0
     for i in range(1, m):
         lhs = A[i] * B[i - 1] - A[i - 1] * B[i]
-        rhs = -((alpha * beta).power(i).value) * product
+        rhs = -(ab_unit.power(i).value) * product
         det_res = max(det_res, abs(lhs - rhs))
 
     period_res = 0.0
     for j in range(m):
         period_res = max(period_res, chordal_distance(values[j], values[(j + rank) % m]))
-
-    distinct: list[ExtendedComplex] = []
-    for v in values:
-        if all(chordal_distance(v, u) > distinct_tol for u in distinct):
-            distinct.append(v)
 
     return ResidueLimitsResult(
         m=m,
@@ -525,7 +526,7 @@ def residue_limits(
         A=A,
         B=B,
         values=values,
-        distinct_values=tuple(distinct),
+        distinct_values=distinct_values(values, distinct_tol),
         product=product,
         det_product=(bv - av) * product,
         n_terms=stream.n,
@@ -533,6 +534,48 @@ def residue_limits(
         det_identity_residual=det_res,
         periodicity_residual=period_res,
     )
+
+
+# Array distances within this relative margin of the distinct-value
+# tolerance are recomputed by the scalar metric, which decides them.
+BORDER_RTOL = 1e-12
+
+
+def distinct_values(
+    values: Sequence[ExtendedComplex], distinct_tol: float
+) -> tuple[ExtendedComplex, ...]:
+    """The values in order, dropping each within ``distinct_tol`` of one kept earlier.
+
+    A value is kept iff its chordal distance to every value kept before it
+    exceeds ``distinct_tol``.  Each kept value marks the later values it
+    covers with one numpy row of distances, so the work is rank rows of
+    length m, not m * rank scalar calls.  Infinity, points beyond
+    ``INVERT_ABOVE`` and row entries within ``BORDER_RTOL`` of the tolerance
+    go to the scalar ``chordal_distance``, so every decision is the one the
+    scalar rule makes.
+    """
+    m = len(values)
+    plain = np.array([not v.is_infinity and abs(v.z) <= INVERT_ABOVE for v in values], dtype=bool)
+    z = np.array([v.z if ok else 0.0 for v, ok in zip(values, plain)], dtype=complex)
+    z_hypot = hypot_one(z)
+    covered = np.zeros(m, dtype=bool)
+    kept = []
+    for i, u in enumerate(values):
+        if covered[i]:
+            continue
+        kept.append(u)
+        later = slice(i + 1, m)
+        if plain[i]:
+            row = chordal_distances(u.z, z[later], z_hypot[later])
+            close = ~(row > distinct_tol)  # the negation of the scalar rule's keep test
+            recheck = ~plain[later] | (np.abs(row - distinct_tol) <= BORDER_RTOL * distinct_tol)
+        else:
+            close = np.zeros(m - i - 1, dtype=bool)
+            recheck = np.ones(m - i - 1, dtype=bool)
+        for j in np.flatnonzero(recheck & ~covered[later]):
+            close[j] = not chordal_distance(values[i + 1 + j], u) > distinct_tol
+        covered[later] |= close
+    return tuple(kept)
 
 
 def normalize_elliptic(

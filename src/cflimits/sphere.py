@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateMapError, DegenerateTripleError, IndeterminateValueError
 
 # Scale-free determinant tolerance: |det| / max(|a|..|d|)^2 below this
@@ -25,7 +27,7 @@ LINE_RTOL = 1e-10
 
 # Beyond this magnitude the chordal metric is evaluated on inverted points
 # (z -> 1/z is a chordal isometry), which avoids overflow in |x - y|.
-_INVERT_ABOVE = 1e150
+INVERT_ABOVE = 1e150
 
 
 class ExtendedComplex:
@@ -106,9 +108,33 @@ def chordal_distance(x, y) -> float:
         return 2.0 / math.hypot(1.0, abs(y.z))
     if y.is_infinity:
         return 2.0 / math.hypot(1.0, abs(x.z))
-    if abs(x.z) > _INVERT_ABOVE or abs(y.z) > _INVERT_ABOVE:
-        return chordal_distance(x.reciprocal(), y.reciprocal())
+    if abs(x.z) > INVERT_ABOVE or abs(y.z) > INVERT_ABOVE:
+        # Not when the other point is tiny: inverting would only swap the two
+        # (and recurse forever), and the direct formula cannot overflow there.
+        if not 0.0 < min(abs(x.z), abs(y.z)) < 1.0 / INVERT_ABOVE:
+            return chordal_distance(x.reciprocal(), y.reciprocal())
     return 2.0 * abs(x.z - y.z) / (math.hypot(1.0, abs(x.z)) * math.hypot(1.0, abs(y.z)))
+
+
+def chordal_distances(x: complex, ys: np.ndarray, ys_hypot: np.ndarray) -> np.ndarray:
+    """Chordal distances from the point x to each point of the complex array ys.
+
+    The same formula as ``chordal_distance``, one numpy row instead of one
+    call per pair; ``ys_hypot`` is ``hypot_one(ys)``, computed once by the
+    caller and reused across rows.  Every point must be finite with modulus
+    at most ``INVERT_ABOVE``; send infinity and larger points to
+    ``chordal_distance``.  Moduli come from ``np.hypot``, which matches
+    Python's complex ``abs`` (numpy's complex ``abs`` does not); ``np.hypot``
+    and ``math.hypot`` still differ in the last bit now and then, so entries
+    agree with ``chordal_distance`` to a few ulps, not bit for bit.
+    """
+    diff = x - ys
+    return 2.0 * np.hypot(diff.real, diff.imag) / (math.hypot(1.0, abs(x)) * ys_hypot)
+
+
+def hypot_one(zs: np.ndarray) -> np.ndarray:
+    """sqrt(1 + |z|^2) for each entry of a complex array, without overflow."""
+    return np.hypot(1.0, np.hypot(zs.real, zs.imag))
 
 
 @dataclass(frozen=True)

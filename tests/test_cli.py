@@ -3,13 +3,14 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflimits import cli
 from cflimits import limitset as L
 from cflimits.errors import ConfigError
 from cflimits.limitset import UnitModulusNumber as U
-from cflimits.sphere import chordal_distance
+from cflimits.sphere import chordal_distance, chordal_distances, hypot_one
 
 
 def write_config(tmp_path, name, obj):
@@ -78,6 +79,25 @@ class TestConfigValidation:
         path = write_config(tmp_path, "g.json", WORKED_CONFIG)
         assert cli.main(["limit-set", "--config", path, "--tol", "0"]) == cli.EXIT_CONFIG
         assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", ["0", "-5"])
+    def test_non_positive_max_n_is_config_error(self, tmp_path, capsys, max_n):
+        limit = write_config(tmp_path, "g.json", WORKED_CONFIG)
+        figure = write_config(tmp_path, "f3.json", {"kind": "figure", "which": "fig3"})
+        out = tmp_path / "out"
+        for argv in (
+            ["limit-set", "--config", limit, "--max-n", max_n],
+            ["figure", "--config", figure, "--out", str(out), "--max-n", max_n],
+        ):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert "max_n must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_n", [0, -5])
+    def test_non_positive_max_n_in_config_is_config_error(self, tmp_path, capsys, max_n):
+        path = write_config(tmp_path, "g.json", dict(WORKED_CONFIG, max_n=max_n))
+        assert cli.main(["limit-set", "--config", path]) == cli.EXIT_CONFIG
+        assert "max_n must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--tol", "1e-2"], ["--max-n", "3"]])
     @pytest.mark.parametrize("command", ["verify", "matrix-product", "recurrence", "rs-cf"])
@@ -162,10 +182,11 @@ class TestFigureCommands:
         # sample the predicted circle finely and measure chordal distance
         import cmath
 
-        circle_pts = [
-            report.h_raw.apply(cmath.rect(1.0, 2 * math.pi * t / 2048))
+        circle_pts = np.array([
+            report.h_raw.apply(cmath.rect(1.0, 2 * math.pi * t / 2048)).z
             for t in range(2048)
-        ]
+        ])
+        circle_hypot = hypot_one(circle_pts)
         close = total = 0
         for line in csv_lines[1:]:
             n_s, re_s, im_s = line.split(",")
@@ -173,7 +194,7 @@ class TestFigureCommands:
                 continue
             total += 1
             z = complex(float(re_s), float(im_s))
-            if min(chordal_distance(z, w) for w in circle_pts) < 0.05:
+            if chordal_distances(z, circle_pts, circle_hypot).min() < 0.05:
                 close += 1
         assert close / total >= 0.99
 

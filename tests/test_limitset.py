@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflimits import cf as C
@@ -12,7 +13,15 @@ from cflimits.errors import (
     NotEllipticError,
     QEqualsAlphaBetaError,
 )
-from cflimits.sphere import Circle, Line, chordal_distance
+from cflimits.sphere import (
+    INFINITY,
+    Circle,
+    ExtendedComplex,
+    Line,
+    chordal_distance,
+    chordal_distances,
+    hypot_one,
+)
 from cflimits.limitset import UnitModulusNumber as U
 
 SQRT5 = math.sqrt(5.0)
@@ -342,6 +351,116 @@ class TestResidueLimits:
                     want = m // math.gcd(b - a, m)
                     assert res.rank == want, (m, a, b)
                     assert len(res.distinct_values) == want, (m, a, b)
+
+
+def greedy_distinct(values, distinct_tol):
+    """The scalar first-occurrence rule that ``distinct_values`` must reproduce."""
+    kept = []
+    for v in values:
+        if all(chordal_distance(v, u) > distinct_tol for u in kept):
+            kept.append(v)
+    return kept
+
+
+def assert_same_values(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g is w
+
+
+def border_step(u, direction, tol):
+    """Least t (to bisection accuracy) with chordal_distance(u, u + t * direction) >= tol."""
+    lo, hi = 0.0, 1.0
+    while chordal_distance(u, u + hi * direction) < tol:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if chordal_distance(u, u + mid * direction) < tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestDistinctValues:
+    @pytest.mark.parametrize(
+        "m, diffs",
+        [(24, (1, 2, 3, 8, 12)), (210, (1, 6, 30, 105)), (960, (4, 60, 320, 480)), (1000, (8, 40, 250))],
+    )
+    def test_matches_scalar_rule_on_residue_values(self, m, diffs):
+        rng = random.Random(m)
+        for diff in diffs:
+            a = rng.randrange(m)
+            cp = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+            cq = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            spec = L.geometric_spec(
+                U.root_of_unity(a, m), U.root_of_unity(a + diff, m), cp, 0.25, cq, 0.2
+            )
+            res = L.residue_limits(spec, 1e-11)
+            assert res.rank == m // math.gcd(diff, m)
+            assert_same_values(res.distinct_values, greedy_distinct(res.values, 1e-6))
+
+    def test_infinity_huge_and_near_duplicates(self):
+        values = [
+            ExtendedComplex(v) if v is not None else INFINITY
+            for v in (
+                1.0, None, 1e200, 2e160j, 0.0, 1e-12, 1.0 + 1e-12, -3e151 + 1e151j, None,
+                1e150, 1e150 * (1 + 4e-16), 2.5 - 1j, 2.5 - 1j + 1e-12j, 1e-300, 7e149j,
+            )
+        ]
+        rng = random.Random(5)
+        for tol in (0.0, 1e-300, 1e-12, 1e-6, 0.3, 0.7, 1.9, 2.0):
+            for _ in range(20):
+                assert_same_values(
+                    L.distinct_values(values, tol), greedy_distinct(values, tol)
+                )
+                rng.shuffle(values)
+
+    @pytest.mark.parametrize("tol", [0.01, 0.05, 0.3])
+    def test_pairs_within_ulps_of_tolerance(self, tol):
+        # The candidate v is chosen where numpy's hypot(1, |v|) differs from
+        # math.hypot in the last bit, so for some of the steps below the numpy
+        # row and the scalar metric fall on opposite sides of tol: those
+        # decisions must come from the scalar recheck.  (Near tol = 1e-6 the
+        # attainable distances between points of modulus ~1 are spaced ~1e6
+        # ulps apart, so no pair there lands within a few ulps of tol.)
+        rng = random.Random(11)
+        straddles = 0
+        for _ in range(20):
+            v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            while np.hypot(1.0, abs(v)) == math.hypot(1.0, abs(v)):
+                v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            direction = cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi))
+            t0 = border_step(v, direction, tol)
+            for k in range(-4, 5):
+                t = t0
+                for _ in range(abs(k)):
+                    t = math.nextafter(t, math.inf if k > 0 else 0.0)
+                u = v + t * direction
+                ys = np.array([v])
+                row = chordal_distances(u, ys, hypot_one(ys))[0]
+                straddles += (row > tol) != (chordal_distance(v, u) > tol)
+                values = [ExtendedComplex(u), ExtendedComplex(v)]
+                assert_same_values(L.distinct_values(values, tol), greedy_distinct(values, tol))
+        assert straddles > 0
+
+    def test_scalar_calls_linear_in_m(self, monkeypatch):
+        calls = 0
+        scalar = L.chordal_distance
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return scalar(x, y)
+
+        monkeypatch.setattr(L, "chordal_distance", counting)
+        m = 997
+        spec = L.geometric_spec(
+            U.root_of_unity(0, m), U.root_of_unity(1, m), 0.3 + 0.1j, 0.25, 0.1 - 0.2j, 0.2
+        )
+        res = L.residue_limits(spec, 1e-11)
+        assert res.rank == m and len(res.distinct_values) == m
+        assert calls <= 2 * m
 
 
 class TestNormalizeElliptic:
