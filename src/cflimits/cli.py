@@ -79,7 +79,8 @@ def parse_angle_expression(text: str) -> UnitModulusNumber:
     terms: list[str] = []
     start = 0
     for i, ch in enumerate(text):
-        if ch in "+-" and i > start and text[i - 1] not in "+-*/(":
+        exponent = i >= 2 and text[i - 1] in "eE" and text[i - 2] in "0123456789."
+        if ch in "+-" and i > start and text[i - 1] not in "+-*/(" and not exponent:
             terms.append(text[start:i])
             start = i
     terms.append(text[start:])

@@ -99,6 +99,17 @@ class UnitModulusNumber:
     def power(self, n: int) -> "UnitModulusNumber":
         return UnitModulusNumber(self.turns * n, math.remainder(self.residual * n, TAU))
 
+    def power_value(self, n: int) -> complex:
+        """``self.power(n).value`` bit for bit, in integer turn arithmetic.
+
+        float(Fraction) is the correctly rounded quotient of numerator and
+        denominator, so the reduced turns (num * n) % den / den round to the
+        same double whatever representation of the fraction is divided.
+        """
+        num, den = self.turns.numerator, self.turns.denominator
+        turns = (num * n) % den / den
+        return cmath.rect(1.0, TAU * turns + math.remainder(self.residual * n, TAU))
+
     def inverse(self) -> "UnitModulusNumber":
         return UnitModulusNumber(-self.turns, -self.residual)
 
@@ -225,8 +236,8 @@ def tail_omega(alpha: UnitModulusNumber, beta: UnitModulusNumber, n: int) -> Ext
     lam = alpha / beta
     if lam.is_one():
         raise EqualAlphaBetaError("alpha and beta coincide")
-    num = lam.power(n).value - 1.0
-    den = lam.power(n - 1).value - 1.0
+    num = lam.power_value(n) - 1.0
+    den = lam.power_value(n - 1) - 1.0
     if num == 0:
         return ExtendedComplex(0.0)
     if den == 0:
@@ -280,8 +291,8 @@ def compute_h_direct(
         scale = math.ldexp(1.0, stream.exponent) if stream.exponent else 1.0
         pn, pm = stream.num * scale, stream.num_prev * scale
         qn, qm = stream.den * scale, stream.den_prev * scale
-        ainv = alpha.power(-n).value
-        binv = beta.power(-n).value
+        ainv = alpha.power_value(-n)
+        binv = beta.power_value(-n)
         quad = (
             ainv * (pn - b_val * pm),
             -binv * (pn - a_val * pm),
@@ -379,7 +390,7 @@ def compute_h_via_modifications(
 
 def asymptotic_predictor(spec: EllipticCFSpec, h: MobiusMap, n: int) -> ExtendedComplex:
     """h(lambda^(n+1)), the point the n-th approximant is asymptotic to."""
-    return h.apply(spec.lam.power(n + 1).value)
+    return h.apply(spec.lam.power_value(n + 1))
 
 
 @dataclass(frozen=True)
@@ -513,7 +524,7 @@ def residue_limits(
     det_res = 0.0
     for i in range(1, m):
         lhs = A[i] * B[i - 1] - A[i - 1] * B[i]
-        rhs = -(ab_unit.power(i).value) * product
+        rhs = -ab_unit.power_value(i) * product
         det_res = max(det_res, abs(lhs - rhs))
 
     period_res = 0.0
@@ -691,9 +702,7 @@ def limit_set_report(
     rank: int | None = None
     if order.finite:
         lam = spec.lam
-        limit_points = tuple(
-            h_raw.apply(lam.power(j).value) for j in range(order.m)
-        )
+        limit_points = tuple(h_raw.apply(lam.power_value(j)) for j in range(order.m))
         rank = order.m
         if spec.alpha.is_exact_root and spec.beta.is_exact_root:
             residue = residue_limits(spec, min(tol, 1e-11))

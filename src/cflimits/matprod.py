@@ -36,8 +36,13 @@ INVERSE_CHECK_EVERY = 64
 
 
 def entry_norm(a: np.ndarray) -> float:
-    """Maximum absolute entry."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """Maximum absolute entry (0 for an empty array)."""
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _check_side(side: Side) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f'side must be "left" or "right", got {side!r}')
 
 
 @dataclass
@@ -56,6 +61,9 @@ class MatrixSequencePair:
     tail_bound: Callable[[int], float] | None = None
     side: Side = "left"
     norm_ceiling: float = 1e6
+
+    def __post_init__(self):
+        _check_side(self.side)
 
     def d(self, i: int) -> np.ndarray:
         return np.asarray(self.d_seq(i), dtype=complex).reshape(self.dim, self.dim)
@@ -78,6 +86,7 @@ def wedderburn_product(
     exp(tail) - 1 of the identity (in the submultiplicative scaled norm),
     which yields the stopping bound.
     """
+    _check_side(side)
     first = np.asarray(a_seq(1), dtype=complex)
     d = dim if dim is not None else first.shape[0]
     eye = np.eye(d, dtype=complex)
@@ -193,6 +202,7 @@ def residue_matrix_limits(
     Along residue class j the partial products converge to F M^j for left
     products (trailing factors drift to M) and to M^j F for right products.
     """
+    _check_side(side)
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
     eye = np.eye(d, dtype=complex)

@@ -164,21 +164,21 @@ def verify_ramanujan_claim(
 
     omega = UnitModulusNumber.root_of_unity(1, 3)
     wv = omega.value
-    num_omega = 1.0 - a * omega.power(2).value
+    num_omega = 1.0 - a * omega.power_value(2)
     den_omega = 1.0 - a * wv
     if den_omega == 0:
         raise ZeroDivisionError("1 - a*omega vanishes; shift parameter is singular")
     big_omega = (
         num_omega
         / den_omega
-        * qpochhammer(omega.power(2).value * q, q, tol=tol)
+        * qpochhammer(omega.power_value(2) * q, q, tol=tol)
         / qpochhammer(wv * q, q, tol=tol)
     )
     n = representative if representative is not None else j + 3
-    ratio_num = big_omega - omega.power(n + 1).value
-    ratio_den = big_omega - omega.power(n - 1).value
+    ratio_num = big_omega - omega.power_value(n + 1)
+    ratio_den = big_omega - omega.power_value(n - 1)
     scale = (
-        -omega.power(2).value
+        -omega.power_value(2)
         * qpochhammer(q * q, q**3, tol=tol)
         / qpochhammer(q, q**3, tol=tol)
     )

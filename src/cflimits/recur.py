@@ -180,7 +180,7 @@ def asymptotic_coefficients(
     xs = rec.iterate(initial, n1 + 1)
     residual = 0.0
     for n in range(n0, n1 + 1):
-        approx = sum(c[i] * rec.roots[i].power(n).value for i in range(p))
+        approx = sum(c[i] * rec.roots[i].power_value(n) for i in range(p))
         residual = max(residual, abs(xs[n] - approx))
     return AsymptoticCoefficients(tuple(c), cocycle.f, cocycle.n_terms, residual, (n0, n1))
 
@@ -249,7 +249,7 @@ def residue_limits_recurrence(
         rec_res = max(rec_res, abs(predicted - l[(n + p) % m]))
     rep_res = 0.0
     for n in range(m):
-        rep = sum(coeffs.c[i] * rec.roots[i].power(n).value for i in range(p))
+        rep = sum(coeffs.c[i] * rec.roots[i].power_value(n) for i in range(p))
         rep_res = max(rep_res, abs(rep - l[n]))
     return RecurrenceResidues(m, l, coeffs.c, rec_res, rep_res)
 

@@ -48,6 +48,20 @@ class TestAngleGrammar:
         with pytest.raises(ConfigError):
             cli.parse_angle_expression("sqrt(eleven)")
 
+    @pytest.mark.parametrize(
+        "text, residual",
+        [("1e-3", 1e-3), ("2.5E+1", 25.0), ("sqrt(2)+1e-3", math.sqrt(2.0) + 1e-3)],
+    )
+    def test_decimal_exponent(self, text, residual):
+        u = cli.parse_angle_expression(text)
+        assert u.turns == 0
+        assert u.residual == residual
+
+    def test_negative_exponent_then_rational(self):
+        u = cli.parse_angle_expression("-1e-3-2*pi*(1/4)")
+        assert u.turns == Fraction(3, 4)
+        assert u.residual == -1e-3
+
 
 class TestConfigValidation:
     def test_unknown_field_rejected(self, tmp_path, capsys):
@@ -283,6 +297,20 @@ class TestOtherCommands:
         assert cli.main(["matrix-product", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["residue_limits"]) == 2
+
+    @pytest.mark.parametrize("mode", ["residue", "cocycle"])
+    def test_matrix_product_bad_side_is_config_error(self, tmp_path, capsys, mode):
+        config = {
+            "kind": "matrix-product",
+            "mode": mode,
+            "order": 2,
+            "side": "sideways",
+            "m": [[1.0, 0.0], [0.0, -1.0]],
+            "perturbation": {"matrix": [[0.25, 0.0], [0.0, 0.0]], "ratio": 1.0 / 3.0},
+        }
+        path = write_config(tmp_path, "mp.json", config)
+        assert cli.main(["matrix-product", "--config", path]) == cli.EXIT_CONFIG
+        assert "side" in capsys.readouterr().err
 
     def test_recurrence_command(self, tmp_path, capsys):
         config = {

@@ -59,6 +59,49 @@ class TestUnitModulusNumber:
         assert lam.order() == 17
 
 
+def same_bits(z, w):
+    return (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+class TestPowerValue:
+    EXPONENTS = (0, 1, -1, 2, -2, 10**6, -(10**6))
+
+    @staticmethod
+    def exponents(rng, count=40):
+        return list(TestPowerValue.EXPONENTS) + [rng.randint(-(10**6), 10**6) for _ in range(count)]
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 4, 6, 7, 12, 17, 360, 997, 65536, 10**6 + 3])
+    def test_roots_of_unity(self, den):
+        rng = random.Random(den)
+        for num in {0, 1, den - 1, rng.randrange(-3 * den, 3 * den), rng.randrange(den)}:
+            u = U.root_of_unity(num, den)
+            for n in self.exponents(rng):
+                assert same_bits(u.power_value(n), u.power(n).value), (num, den, n)
+
+    def test_numeric_angles(self):
+        rng = random.Random(3)
+        angles = [math.sqrt(11), -math.sqrt(13), math.pi, -math.pi, 1e-300, 5e-324, 1e3]
+        angles += [rng.uniform(-10.0, 10.0) for _ in range(30)]
+        for theta in angles:
+            u = U.from_angle(theta)
+            for n in self.exponents(rng, 10):
+                assert same_bits(u.power_value(n), u.power(n).value), (theta, n)
+
+    def test_mixed_turns_and_residual(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            den = rng.randint(1, 10**6 + 3)
+            u = U(Fraction(rng.randrange(-den, 2 * den), den), rng.uniform(-4.0, 4.0))
+            for n in self.exponents(rng, 5):
+                assert same_bits(u.power_value(n), u.power(n).value), (u, n)
+
+    @pytest.mark.parametrize("turns", [Fraction(0), Fraction(1, 3), Fraction(-5, 7)])
+    def test_negative_zero_residual(self, turns):
+        u = U(turns, -0.0)
+        for n in self.EXPONENTS:
+            assert same_bits(u.power_value(n), u.power(n).value), (turns, n)
+
+
 class TestOrderOfLambda:
     def test_exact_roots(self):
         # quotient of e^(2 pi i/6) and e^(2 pi i 5/6) has order 3
@@ -182,6 +225,69 @@ class TestComputeHDirect:
     def test_det_identity_ratio(self, worked_spec):
         direct = L.compute_h_direct(worked_spec, 1e-12, 5000)
         assert abs(direct.h.det / direct.det_product - 1.0) < 1e-6
+
+
+def inverse_square_spec(w=0.5):
+    return L.EllipticCFSpec(
+        U.from_angle(math.sqrt(11)),
+        U.from_angle(math.sqrt(13)),
+        p=lambda n: w / n**2,
+        q=lambda n: w * 1j / n**2,
+        tail_bound=lambda n: 2 * w / n,
+    )
+
+
+class TestComputeHDirectInverseSquare:
+    # Computed with power(n).value in the loop; power_value must reproduce them bit for bit.
+    RECORDED = {
+        1e-6: (
+            1552,
+            (
+                0.30967333399362773 + 0.02696358371041661j,
+                -0.9923317276854293 - 0.1764425479936496j,
+                0.0640157059155646 + 0.11633288374805015j,
+                -0.5002620038038916 - 0.921166466394932j,
+            ),
+            -0.08708110783433243 - 0.17201364144857495j,
+        ),
+        1e-7: (
+            4857,
+            (
+                0.3094010747293179 + 0.026824994905647062j,
+                -0.9930723553662429 - 0.17676370585752038j,
+                0.06400099630772066 + 0.11620207378762139j,
+                -0.5004808387701241 - 0.9219766623420098j,
+            ),
+            -0.0870999791683775 - 0.1719758457536907j,
+        ),
+    }
+
+    def test_matches_recorded_values(self):
+        for tol, (n_terms, coeffs, det_product) in self.RECORDED.items():
+            direct = L.compute_h_direct(inverse_square_spec(), tol)
+            assert direct.n_terms == n_terms
+            got = (direct.h.a, direct.h.b, direct.h.c, direct.h.d)
+            assert all(same_bits(g, w) for g, w in zip(got, coeffs)), tol
+            assert same_bits(direct.det_product, det_product)
+
+    def test_power_calls_do_not_grow_with_steps(self, monkeypatch):
+        power = U.power
+        calls = 0
+
+        def counting(self, n):
+            nonlocal calls
+            calls += 1
+            return power(self, n)
+
+        monkeypatch.setattr(U, "power", counting)
+        counts = {}
+        for tol in self.RECORDED:
+            calls = 0
+            n_terms = L.compute_h_direct(inverse_square_spec(), tol).n_terms
+            counts[n_terms] = calls
+        assert min(counts) >= 1000 and len(counts) == 2
+        short, long = (counts[n] for n in sorted(counts))
+        assert short == long <= 2
 
 
 class TestComputeHViaModifications:

@@ -26,6 +26,41 @@ def geometric_tail(weight: float, ratio: float):
     return lambda n: weight * ratio ** (n + 1) / (1.0 - ratio)
 
 
+def never_called(i):
+    raise AssertionError(f"factor {i} formed before the side was checked")
+
+
+class TestEntryNorm:
+    def test_matches_numpy_max(self):
+        rng = np.random.default_rng(12)
+        for dim in range(1, 5):
+            for scale in (1e-300, 1.0, 1e300):
+                a = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                assert MP.entry_norm(a).hex() == float(np.max(np.abs(a))).hex()
+
+    def test_nan_entries(self):
+        a = np.array([[1.0, complex(math.nan, 0.0)], [2.0j, -3.0]], dtype=complex)
+        want = float(np.max(np.abs(a)))
+        assert math.isnan(want) and math.isnan(MP.entry_norm(a))
+
+    def test_empty_is_zero(self):
+        assert MP.entry_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
+class TestSideValidation:
+    def test_pair(self):
+        with pytest.raises(ValueError, match="side"):
+            MP.MatrixSequencePair(2, never_called, never_called, side="lft")
+
+    def test_residue_matrix_limits(self):
+        with pytest.raises(ValueError, match="side"):
+            MP.residue_matrix_limits(never_called, np.eye(2), 1, side="sideways")
+
+    def test_wedderburn_product(self):
+        with pytest.raises(ValueError, match="side"):
+            MP.wedderburn_product(never_called, lambda n: 0.0, side="Left")
+
+
 class TestWedderburn:
     def test_zero_terms_give_identity(self):
         got = MP.wedderburn_product(
