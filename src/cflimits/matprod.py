@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cf import BLOCK_WINDOW, STABILITY_WINDOW, Monitor
 from .errors import (
@@ -45,7 +46,17 @@ def _check_side(side: Side) -> None:
         raise ValueError(f'side must be "left" or "right", got {side!r}')
 
 
-@dataclass
+# np.linalg.solve / det minus the wrappers' per-call checks: the same LAPACK
+# gufuncs, so the same bits, but a singular ``a`` gives NaN, not LinAlgError.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve(a, b, signature="DD->D")
+
+
+def _det(a: np.ndarray) -> complex:
+    return _umath_linalg.det(a, signature="D->D")
+
+
+@dataclass(frozen=True)
 class MatrixSequencePair:
     """Perturbed sequence D_i with comparison sequence M_i.
 
@@ -92,7 +103,7 @@ def wedderburn_product(
     eye = np.eye(d, dtype=complex)
     product = eye.copy()
     for i in range(1, max_terms + 1):
-        a_i = np.asarray(a_seq(i), dtype=complex).reshape(d, d)
+        a_i = (first if i == 1 else np.asarray(a_seq(i), dtype=complex)).reshape(d, d)
         product = product @ (eye + a_i) if side == "left" else (eye + a_i) @ product
         bound = d * max(1.0, entry_norm(product)) * math.expm1(tail_bound(i))
         if bound < tol:
@@ -123,7 +134,8 @@ def cocycle_limit(
     consistency with the forward product is checked periodically.  det(F)
     is nonzero exactly when every D_i seen was nonsingular; a flag reports
     that.  Convergence is a stability window on F plus, when a tail bound
-    is available, an explicit tail estimate.
+    is available, an explicit tail estimate.  The loop runs under
+    ``np.errstate(invalid="ignore")``, callbacks included.
     """
     d = pair.dim
     eye = np.eye(d, dtype=complex)
@@ -137,44 +149,54 @@ def cocycle_limit(
     f = eye.copy()
     bound_m = 1.0
 
-    for i in range(1, max_terms + 1):
-        di = pair.d(i)
-        mi = pair.m(i)
-        if abs(np.linalg.det(di)) < 1e-12 * max(1.0, entry_norm(di)) ** d:
-            nonsingular = False
-        if pair.side == "left":
-            prod_d = prod_d @ di
-            prod_m = prod_m @ mi
-            prod_m_inv = np.linalg.solve(mi, prod_m_inv)
-            f = prod_d @ prod_m_inv
-        else:
-            prod_d = di @ prod_d
-            prod_m = mi @ prod_m
-            prod_m_inv = np.linalg.solve(mi.T, prod_m_inv.T).T
-            f = prod_m_inv @ prod_d
-        norm_m, norm_minv = entry_norm(prod_m), entry_norm(prod_m_inv)
-        bound_m = max(bound_m, norm_m, norm_minv)
-        if norm_m > pair.norm_ceiling or norm_minv > pair.norm_ceiling:
-            raise UnboundedMProductsError(
-                f"comparison product norm {max(norm_m, norm_minv):.3g} crossed the "
-                f"ceiling {pair.norm_ceiling:.3g} at step {i}"
-            )
-        if i % INVERSE_CHECK_EVERY == 0:
-            drift = entry_norm(prod_m @ prod_m_inv - eye)
-            if drift > 1e-12:
-                prod_m_inv = np.linalg.inv(prod_m)
-                if entry_norm(prod_m @ prod_m_inv - eye) > 1e-10:
-                    raise UnboundedMProductsError(
-                        f"inverse product drift {drift:.3g} not recoverable at step {i}"
-                    )
-        if prev_f is not None:
-            delta = entry_norm(f - prev_f)
-        prev_f = f
-        tail = None
-        if pair.tail_bound is not None:
-            tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * pair.tail_bound(i)
-        if monitor.update(delta, tail):
-            return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, delta)
+    left = pair.side == "left"
+    with np.errstate(invalid="ignore"):  # a singular M_i is caught below
+        for i in range(1, max_terms + 1):
+            di = pair.d(i)
+            mi = pair.m(i)
+            if nonsingular and abs(_det(di)) < 1e-12 * max(1.0, entry_norm(di)) ** d:
+                nonsingular = False
+            prev_inv = prod_m_inv
+            if left:
+                prod_d = prod_d @ di
+                prod_m = prod_m @ mi
+                prod_m_inv = _solve(mi, prod_m_inv)
+                f = prod_d @ prod_m_inv
+            else:
+                prod_d = di @ prod_d
+                prod_m = mi @ prod_m
+                prod_m_inv = _solve(mi.T, prod_m_inv.T).T
+                f = prod_m_inv @ prod_d
+            norm_m, norm_minv = entry_norm(prod_m), entry_norm(prod_m_inv)
+            if norm_minv != norm_minv:  # NaN: LinAlgError for a singular M_i, else the same bits
+                prod_m_inv = np.linalg.solve(mi, prev_inv) if left else np.linalg.solve(mi.T, prev_inv.T).T
+            bound_m = max(bound_m, norm_m, norm_minv)
+            if norm_m > pair.norm_ceiling or norm_minv > pair.norm_ceiling:
+                raise UnboundedMProductsError(
+                    f"comparison product norm {max(norm_m, norm_minv):.3g} crossed the "
+                    f"ceiling {pair.norm_ceiling:.3g} at step {i}"
+                )
+            if i % INVERSE_CHECK_EVERY == 0:
+                drift = entry_norm(prod_m @ prod_m_inv - eye)
+                if drift > 1e-12:
+                    prod_m_inv = np.linalg.inv(prod_m)
+                    if entry_norm(prod_m @ prod_m_inv - eye) > 1e-10:
+                        raise UnboundedMProductsError(
+                            f"inverse product drift {drift:.3g} not recoverable at step {i}"
+                        )
+            if prev_f is not None:
+                delta = entry_norm(f - prev_f)
+            prev_f = f
+            tail = None
+            if pair.tail_bound is not None:
+                t = pair.tail_bound(i)
+                # Rounding is monotone and max(1, ||F||) >= 1, so for t >= 0 the full
+                # bound is never below this screen; only a screen under tol can stop.
+                tail = d * d * bound_m * bound_m * t
+                if tail < tol:
+                    tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * t
+            if monitor.update(delta, tail):
+                return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, delta)
     raise BudgetExceededError(f"cocycle not stable after {max_terms} factors")
 
 
@@ -203,6 +225,8 @@ def residue_matrix_limits(
     products (trailing factors drift to M) and to M^j F for right products.
     """
     _check_side(side)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
     eye = np.eye(d, dtype=complex)

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ def never_called(i):
     raise AssertionError(f"factor {i} formed before the side was checked")
 
 
+E = np.array([[0.3 - 0.2j, 0.5 + 0.1j], [-0.4 + 0.25j, 0.15 - 0.35j]])
+
+
 class TestEntryNorm:
     def test_matches_numpy_max(self):
         rng = np.random.default_rng(12)
@@ -59,6 +65,12 @@ class TestSideValidation:
     def test_wedderburn_product(self):
         with pytest.raises(ValueError, match="side"):
             MP.wedderburn_product(never_called, lambda n: 0.0, side="Left")
+
+    def test_pair_is_frozen(self):
+        pair = MP.MatrixSequencePair(2, never_called, never_called)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.side = "lft"
+        assert pair.side == "left"
 
 
 class TestWedderburn:
@@ -108,6 +120,23 @@ class TestWedderburn:
                 lambda i: np.eye(2) * 0.5, lambda n: 1.0, 1e-10, max_terms=50
             )
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_each_factor_formed_once(self, side):
+        # sha256 of the product's bytes as computed before a_seq(1) was reused.
+        want = {
+            "left": "23a45cfc1de27e1a4970b4b469cc66f2e98c27da894933de65f3624a098ae784",
+            "right": "60fff7629677eb37f2f834ec52182371613893e94e3f2b9c158ff732bdbc9217",
+        }[side]
+        calls = []
+
+        def a_seq(i):
+            calls.append(i)
+            return 0.5**i * E
+
+        got = MP.wedderburn_product(a_seq, geometric_tail(MP.entry_norm(E), 0.5), 1e-13, side=side)
+        assert calls == list(range(1, len(calls) + 1))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == want
+
 
 class TestResidueMatrixLimits:
     def test_constant_finite_order_cycles(self):
@@ -154,6 +183,13 @@ class TestResidueMatrixLimits:
     def test_wrong_order_rejected(self):
         with pytest.raises(MNotFiniteOrderError):
             MP.residue_matrix_limits(lambda n: rotation(1.0), rotation(1.0), 3, 1e-10)
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_rejected(self, order):
+        # M^0 = I, so before this check any d_seq gave F = I.
+        m = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(ValueError, match="order"):
+            MP.residue_matrix_limits(never_called, m, order, 1e-10)
 
 
 class TestCocycleLimit:
@@ -282,3 +318,124 @@ class TestInverseMaintenance:
         # runs through several checkpoints without raising
         res = MP.cocycle_limit(pair, 1e-14, max_terms=5000)
         assert res.n_terms >= 16
+
+
+def as_bytes(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestGufuncCalls:
+    """The bare LAPACK gufuncs give the wrappers' bits, and the loop keeps
+    np.linalg.solve's error for a singular M_i."""
+
+    @staticmethod
+    def operands(rng, dim):
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            yield scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        if dim > 1:  # cond(a) = 1e12
+            q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            yield q1 @ np.diag(np.logspace(0, -12, dim)) @ q2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bit_equal_to_wrappers(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        with np.errstate(all="ignore"):
+            for a in self.operands(rng, dim):
+                b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                for x, y in ((a, b), (a.T, b), (a, b.T), (a.T, b.T)):
+                    assert as_bytes(MP._solve(x, y)) == as_bytes(np.linalg.solve(x, y))
+                    assert as_bytes(MP._det(x)) == as_bytes(np.linalg.det(x))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_singular_comparison_factor_raises_at_its_step(self, side):
+        m = rotation(0.7)
+        seen = []
+
+        def m_seq(i):
+            seen.append(i)
+            return np.zeros((2, 2)) if i == 5 else m
+
+        pair = MP.MatrixSequencePair(2, lambda i: m, m_seq, lambda n: 0.5**n, side=side)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                MP.cocycle_limit(pair, 1e-12)
+        assert seen[-1] == 5
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_other_nan_runs_on_as_before(self, side):
+        # LAPACK solves this without a zero pivot but returns NaN (inf - inf);
+        # np.linalg.solve does not raise, so the loop reaches the ceiling check.
+        bad = np.array([[1e-310, 1e300], [1e-310, 1e300]], dtype=complex)
+        m = rotation(0.7)
+        pair = MP.MatrixSequencePair(
+            2, lambda i: m, lambda i: bad if i == 5 else m, lambda n: 0.5**n, side=side
+        )
+        with pytest.raises(UnboundedMProductsError, match="at step 5"):
+            MP.cocycle_limit(pair, 1e-9)
+
+    def test_no_wrapper_call_per_step(self, monkeypatch):
+        calls = {"solve": 0, "det": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "det", spy("det", np.linalg.det))
+        m = rotation(0.7)
+        pair = MP.MatrixSequencePair(2, lambda i: m + E / (i * i), lambda i: m)
+        res = MP.cocycle_limit(pair, 5e-7)
+        assert res.n_terms >= 1000 and res.d_all_nonsingular
+        assert calls == {"solve": 0, "det": 1}  # det(F) at the stop
+
+
+def cocycle_spec(side: str, tail: bool, singular: bool) -> MP.MatrixSequencePair:
+    m = rotation(0.7)
+
+    def d_seq(i):
+        if singular and i == 4:
+            return np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        return m + (0.5**i if tail else 1.0 / (i * i)) * E
+
+    return MP.MatrixSequencePair(
+        2, d_seq, lambda i: m, (lambda n: 0.5**n) if tail else None, side=side
+    )
+
+
+# (side, tail, singular D_4) -> sha256 of f's bytes, n_terms, det_f (real and
+# imaginary .hex()), d_all_nonsingular, last_delta.hex(); recorded before the
+# loop called the LAPACK gufuncs directly.  tol 1e-9 with a tail, 1e-6 without.
+RECORDED_COCYCLES = {
+    ("left", True, False): ("5cb188f09ac01c0a074974db766f60b5badf10ac501f8b300c96715bf895c63b", 32,
+        ("0x1.97352d792e40fp-1", "-0x1.66bd0395503d0p-2"), True, "0x1.024ee855c525ep-33"),
+    ("left", True, True): ("0116490d25a761b3577fe35ec7b25e875647f7cb2a460be55bebe735d377091b", 33,
+        ("0x1.8fec0fc355c87p-52", "-0x1.dd8b4331e701ep-54"), False, "0x1.5808037727421p-34"),
+    ("left", False, False): ("8040eb57db8075340e89fa965bc612a80a0d3407b93c8c4b5d09890b1d145ffc", 755,
+        ("0x1.6d564c208a89bp-1", "-0x1.51aa08be7dd25p-1"), True, "0x1.b5b0104f43962p-21"),
+    ("left", False, True): ("76fdd3c568a798e32e0de12a4cd8433704f339acafcae377b7ec596d3ae4d4b9", 939,
+        ("0x1.5ca08b794a945p-49", "0x1.29ea01ffd4aa0p-49"), False, "0x1.98c0b7d00c503p-21"),
+    ("right", True, False): ("5931cb53a51ded2c9a344949d2d891d6ae69ad81d9916ae478121e9606bde6cc", 32,
+        ("0x1.97352d792e40ep-1", "-0x1.66bd0395503d6p-2"), True, "0x1.ec5b751710353p-34"),
+    ("right", True, True): ("89b49cb3d13789df2de946d50fed2a8961966d7f21359fd79d905bbaaf7a6315", 33,
+        ("-0x1.4fe6450c3b196p-52", "-0x1.da327fe398f64p-55"), False, "0x1.4bf650152d0d4p-34"),
+    ("right", False, False): ("0f95192c5c82bcb41e91ae1d28f709f04b99dffb973686074e39f2892bbe3401", 691,
+        ("0x1.6d5c6da7cb144p-1", "-0x1.51a8d10849d57p-1"), True, "0x1.ffdee61ff4aebp-21"),
+    ("right", False, True): ("92227cbcb2acad2259093539d60bb1cbb7cc8fe616f3d63fae08bcfb8828ae54", 993,
+        ("-0x1.e9c361b02ffd4p-48", "0x1.d90215325f93ep-49"), False, "0x1.b39b2c1e35b4fp-21"),
+}
+
+
+@pytest.mark.parametrize("side, tail, singular", RECORDED_COCYCLES)
+def test_cocycle_matches_recorded_bits(side, tail, singular):
+    f_sha, n, det_f, nonsingular, delta = RECORDED_COCYCLES[side, tail, singular]
+    res = MP.cocycle_limit(cocycle_spec(side, tail, singular), 1e-9 if tail else 1e-6)
+    assert hashlib.sha256(res.f.tobytes()).hexdigest() == f_sha
+    assert res.n_terms == n
+    assert (res.det_f.real.hex(), res.det_f.imag.hex()) == det_f
+    assert res.d_all_nonsingular is nonsingular
+    assert res.last_delta.hex() == delta
