@@ -36,7 +36,7 @@ from . import recur as _rc
 from . import rsmatrix as _rs
 from . import svgfig as _svg
 from .errors import CFLimitsError, ConfigError, NoConvergenceError
-from .sphere import Circle, ExtendedComplex, Line
+from .sphere import Circle, ExtendedComplex
 from .limitset import UnitModulusNumber
 
 EXIT_OK = 0
@@ -49,10 +49,35 @@ EXIT_VERIFY = 5
 # --------------------------------------------------------------------------
 # config parsing
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _require_keys(obj: Any, allowed: set[str], where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
+    return obj
+
+
+def _field(obj: dict, key: str, where: str) -> Any:
+    if key not in obj:
+        raise ConfigError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _list(obj: dict, key: str, where: str, default: list | None = None) -> list:
+    """A list-typed field; required unless a default is given."""
+    value = _field(obj, key, where) if default is None else obj.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
+def _ratio(obj: dict, where: str, default: float | None = None) -> float:
+    """A geometric ratio in [0, 1); required unless a default is given."""
+    ratio = float(_field(obj, "ratio", where) if default is None else obj.get("ratio", default))
+    if not 0.0 <= ratio < 1.0:
+        raise ConfigError(f"{where}.ratio must lie in [0, 1)")
+    return ratio
 
 
 def _complex_of(value: Any, where: str) -> complex:
@@ -145,16 +170,14 @@ def _sequence(obj: Any, where: str) -> tuple[Callable[[int], complex], Callable[
     if kind == "geometric":
         _require_keys(obj, {"type", "coefficient", "ratio"}, where)
         coeff = _complex_of(obj.get("coefficient", 1.0), f"{where}.coefficient")
-        ratio = float(obj["ratio"])
-        if not 0.0 <= ratio < 1.0:
-            raise ConfigError(f"{where}.ratio must lie in [0, 1)")
+        ratio = _ratio(obj, where)
         return (lambda n: coeff * ratio**n), _cf.geometric_tail(abs(coeff), ratio)
     if kind == "poly-qn":
         _require_keys(obj, {"type", "q", "coefficients"}, where)
-        q = _complex_of(obj["q"], f"{where}.q")
+        q = _complex_of(_field(obj, "q", where), f"{where}.q")
         if not abs(q) < 1.0:
             raise ConfigError(f"{where}.q needs |q| < 1")
-        coeffs = [_complex_of(c, f"{where}.coefficients") for c in obj["coefficients"]]
+        coeffs = [_complex_of(c, f"{where}.coefficients") for c in _list(obj, "coefficients", where)]
         if coeffs and coeffs[0] != 0:
             raise ConfigError(f"{where}.coefficients must have zero constant term")
         return (
@@ -164,18 +187,36 @@ def _sequence(obj: Any, where: str) -> tuple[Callable[[int], complex], Callable[
     raise ConfigError(f"{where}.type must be zero | geometric | poly-qn, got {kind!r}")
 
 
-def _elliptic_spec(obj: dict, where: str = "config") -> _ls.EllipticCFSpec:
-    _require_keys(obj, {"kind", "alpha", "beta", "p", "q", "tol", "max_n"}, where)
-    for key in ("alpha", "beta", "p", "q"):
-        if key not in obj:
-            raise ConfigError(f"{where}: missing field {key!r}")
-    alpha = _unit_point(obj["alpha"], f"{where}.alpha")
-    beta = _unit_point(obj["beta"], f"{where}.beta")
-    p_gen, p_tail = _sequence(obj["p"], f"{where}.p")
-    q_gen, q_tail = _sequence(obj["q"], f"{where}.q")
+#: The fields that define an elliptic-type fraction (limit-set config, custom figure cf).
+ELLIPTIC_FIELDS = {"alpha", "beta", "p", "q"}
+
+
+def _elliptic_spec(obj: dict, where: str) -> _ls.EllipticCFSpec:
+    alpha, beta, p, q = [_field(obj, key, where) for key in ("alpha", "beta", "p", "q")]
+    alpha = _unit_point(alpha, f"{where}.alpha")
+    beta = _unit_point(beta, f"{where}.beta")
+    p_gen, p_tail = _sequence(p, f"{where}.p")
+    q_gen, q_tail = _sequence(q, f"{where}.q")
     return _ls.EllipticCFSpec(
         alpha, beta, p_gen, q_gen, lambda n: p_tail(n) + q_tail(n)
     )
+
+
+def _matrix_of(obj: Any, where: str) -> np.ndarray:
+    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
+        raise ConfigError(f"{where}: expected a matrix as list of rows")
+    rows = [[_complex_of(v, where) for v in row] for row in obj]
+    return np.asarray(rows, dtype=complex)
+
+
+def _matrix_perturbation(
+    config: dict, limit: np.ndarray
+) -> tuple[Callable[[int], np.ndarray], Callable[[int], float]]:
+    """config.perturbation {matrix, ratio} -> (k -> limit + ratio**k * E, geometric tail)."""
+    pert = _require_keys(config.get("perturbation", {}), {"matrix", "ratio"}, "config.perturbation")
+    e = _matrix_of(_field(pert, "matrix", "config.perturbation"), "config.perturbation.matrix")
+    ratio = _ratio(pert, "config.perturbation", 0.5)
+    return (lambda k: limit + ratio**k * e), _cf.geometric_tail(_mp.entry_norm(e), ratio)
 
 
 def _budget(max_n: int) -> int:
@@ -188,8 +229,6 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
@@ -204,24 +243,23 @@ def _ser_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _ser_point(p: ExtendedComplex) -> Any:
-    return "inf" if p.is_infinity else _ser_complex(p.z)
+def _ser_point(p: ExtendedComplex | None) -> Any:
+    return None if p is None else "inf" if p.is_infinity else _ser_complex(p.z)
 
 
 def _ser_geometry(g) -> dict:
     if isinstance(g, Circle):
         return {"type": "circle", "center": _ser_complex(g.center), "radius": g.radius}
-    if isinstance(g, Line):
-        return {"type": "line", "point": _ser_complex(g.point), "direction": _ser_complex(g.direction)}
-    return {"type": "unknown"}
+    return {"type": "line", "point": _ser_complex(g.point), "direction": _ser_complex(g.direction)}
 
 
 def _ser_matrix(m: np.ndarray) -> list:
     return [[_ser_complex(complex(v)) for v in row] for row in np.asarray(m)]
 
 
-def _emit(report: dict, out_dir: str | None, name: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _emit(report: dict | str, out_dir: str | None, name: str) -> None:
+    """Print a report (JSON unless already text) and write it to out_dir/name."""
+    text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -232,26 +270,21 @@ def _emit(report: dict, out_dir: str | None, name: str) -> None:
 # --------------------------------------------------------------------------
 # limit-set
 
-def cmd_limit_set(config: dict, out_dir: str | None, tol: float | None, max_n: int | None) -> int:
-    if config.get("kind") != "elliptic-cf":
-        raise ConfigError('limit-set needs config kind "elliptic-cf"')
-    spec = _elliptic_spec(config)
+def cmd_limit_set(config: dict, args: argparse.Namespace) -> int:
     report = _ls.limit_set_report(
-        spec,
-        tol=tol if tol is not None else float(config.get("tol", 1e-10)),
-        max_n=_budget(max_n if max_n is not None else int(config.get("max_n", 200_000))),
+        _elliptic_spec(config, "config"),
+        tol=args.tol if args.tol is not None else float(config.get("tol", 1e-10)),
+        max_n=_budget(args.max_n if args.max_n is not None else int(config.get("max_n", 200_000))),
     )
-    h = report.h
     doc = {
-        "h": {"a": _ser_complex(h.a), "b": _ser_complex(h.b),
-              "c": _ser_complex(h.c), "d": _ser_complex(h.d)},
+        "h": {k: _ser_complex(getattr(report.h, k)) for k in "abcd"},
         "m": report.m,
         "rank": report.rank,
         "geometry": _ser_geometry(report.geometry),
         "concentration": {
             "kind": report.concentration.kind,
-            "highest": None if report.concentration.highest is None else _ser_point(report.concentration.highest),
-            "lowest": None if report.concentration.lowest is None else _ser_point(report.concentration.lowest),
+            "highest": _ser_point(report.concentration.highest),
+            "lowest": _ser_point(report.concentration.lowest),
         },
         "det_product": _ser_complex(report.det_product),
         "limit_points": None if report.limit_points is None else [_ser_point(p) for p in report.limit_points],
@@ -267,18 +300,20 @@ def cmd_limit_set(config: dict, out_dir: str | None, tol: float | None, max_n: i
         "suspicious_order": report.suspicious_order,
         "n_terms": report.n_terms,
     }
-    _emit(doc, out_dir, "limit-set.json")
+    _emit(doc, args.out, "limit-set.json")
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # figures
 
+#: Default point count per figure (fig5 draws its limit points, not a count).
 FIGURE_DEFAULTS = {
     "fig3": 3000,
     "fig4": 3000,
     "fig5": 17,
     "fig6": 1200,
+    "custom": 3000,
 }
 
 
@@ -296,7 +331,7 @@ def _builtin_fig_spec(which: str) -> _ls.EllipticCFSpec:
         return _ls.geometric_spec(
             UnitModulusNumber.from_angle(third), UnitModulusNumber.from_angle(-third)
         )
-    raise ConfigError(f"no built-in figure {which!r}")
+    raise ConfigError(f"unknown figure {which!r}")
 
 
 def approximant_points(spec: _ls.EllipticCFSpec, count: int) -> list[tuple[int, ExtendedComplex]]:
@@ -308,110 +343,81 @@ def approximant_points(spec: _ls.EllipticCFSpec, count: int) -> list[tuple[int, 
     return out
 
 
-def cmd_figure(config: dict, out_dir: str | None, tol: float | None, max_n: int | None) -> int:
-    if config.get("kind") != "figure":
-        raise ConfigError('figure needs config kind "figure"')
-    max_n = _budget(max_n if max_n is not None else 200_000)
-    _require_keys(config, {"kind", "which", "count", "trim", "cf", "basename"}, "config")
+def _csv_rows(points) -> list[tuple[int, float, float]]:
+    """(n, point) pairs -> (n, re, im) CSV rows, with inf for the point at infinity."""
+    return [(n, math.inf, math.inf) if v.is_infinity else (n, v.z.real, v.z.imag) for n, v in points]
+
+
+def cmd_figure(config: dict, args: argparse.Namespace) -> int:
+    max_n = _budget(args.max_n if args.max_n is not None else 200_000)
     which = config.get("which", "custom")
-    if which not in ("fig3", "fig4", "fig5", "fig6", "custom"):
-        raise ConfigError(f"unknown figure {which!r}")
     if which == "custom":
-        if "cf" not in config:
-            raise ConfigError("custom figure needs a cf section")
-        spec = _elliptic_spec(dict(config["cf"], kind="elliptic-cf"), "config.cf")
-        count = int(config.get("count", 3000))
+        cf = _require_keys(_field(config, "cf", "custom figure"), ELLIPTIC_FIELDS, "config.cf")
+        spec = _elliptic_spec(cf, "config.cf")
     else:
         spec = _builtin_fig_spec(which)
-        count = int(config.get("count", FIGURE_DEFAULTS[which]))
+    count = int(config.get("count", FIGURE_DEFAULTS[which]))
     basename = str(config.get("basename", which if which != "custom" else "figure"))
-    out = out_dir or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     svg_path = os.path.join(out, basename + ".svg")
     csv_path = os.path.join(out, basename + ".csv")
-    run_tol = tol if tol is not None else 1e-10
+    report = _ls.limit_set_report(spec, tol=args.tol if args.tol is not None else 1e-10, max_n=max_n)
+    doc = {"figure": which, "svg": svg_path, "csv": csv_path}
 
-    report = _ls.limit_set_report(spec, tol=run_tol, max_n=max_n)
-
+    conc = report.concentration
     if which == "fig6":
         trim = float(config.get("trim", 10.0))
         points = approximant_points(spec, count)
-        _svg.write_csv(csv_path, [
-            (n, v.z.real if not v.is_infinity else math.inf,
-             v.z.imag if not v.is_infinity else math.inf) for n, v in points
-        ])
+        _svg.write_csv(csv_path, _csv_rows(points))
         kept = [v.z.real for _, v in points if not v.is_infinity and abs(v.z) <= trim]
-        dropped = len(points) - len(kept)
         edges = [(-trim) + i * (2 * trim / 80) for i in range(81)]
         counts = [0] * 80
         for v in kept:
             idx = min(int((v + trim) / (2 * trim / 80)), 79)
             counts[idx] += 1
         marker = None
-        if report.concentration.kind == "points" and not report.concentration.highest.is_infinity:
-            marker = report.concentration.highest.z.real
+        if conc.kind == "points" and not conc.highest.is_infinity:
+            marker = conc.highest.z.real
         _svg.histogram_svg(svg_path, edges, counts, marker)
-        doc = {
-            "figure": which, "svg": svg_path, "csv": csv_path,
-            "count": count, "dropped": dropped,
-            "peak_bin": [edges[counts.index(max(counts))], edges[counts.index(max(counts)) + 1]],
-        }
-        _emit(doc, out_dir, basename + ".json")
-        return EXIT_OK
-
-    if which == "fig5":
-        pts = report.limit_points or ()
-        rows = [(j, p.z.real if not p.is_infinity else math.inf,
-                 p.z.imag if not p.is_infinity else math.inf) for j, p in enumerate(pts)]
+        peak = counts.index(max(counts))
+        doc.update(count=count, dropped=len(points) - len(kept), peak_bin=[edges[peak], edges[peak + 1]])
+    else:
+        # fig5 draws the predicted limit points; the others draw approximants
+        # with the concentration and limit points as marker dots.
+        if which == "fig5":
+            points, marked = enumerate(report.limit_points or ()), ()
+        else:
+            points = approximant_points(spec, count)
+            marked = (conc.highest, conc.lowest) if conc.kind == "points" else ()
+            marked += report.limit_points or ()
+        rows = _csv_rows(points)
         _svg.write_csv(csv_path, rows)
         drawn = _svg.scatter_svg(
             svg_path,
-            [(re, im) for _, re, im in rows if math.isfinite(re)],
+            [(re, im) for _, re, im in rows if math.isfinite(re)],  # finite points have finite parts
             geometry=report.geometry,
+            dots=[(p.z.real, p.z.imag) for p in marked if p is not None and not p.is_infinity],
         )
-        doc = {"figure": which, "svg": svg_path, "csv": csv_path, "points": len(rows), "drawn": drawn}
-        _emit(doc, out_dir, basename + ".json")
-        return EXIT_OK
-
-    points = approximant_points(spec, count)
-    rows = [
-        (n, v.z.real if not v.is_infinity else math.inf,
-         v.z.imag if not v.is_infinity else math.inf) for n, v in points
-    ]
-    _svg.write_csv(csv_path, rows)
-    dots = []
-    conc = report.concentration
-    if conc.kind == "points":
-        for p in (conc.highest, conc.lowest):
-            if p is not None and not p.is_infinity:
-                dots.append((p.z.real, p.z.imag))
-    if report.limit_points:
-        for p in report.limit_points:
-            if not p.is_infinity:
-                dots.append((p.z.real, p.z.imag))
-    drawn = _svg.scatter_svg(
-        svg_path,
-        [(re, im) for _, re, im in rows if math.isfinite(re) and math.isfinite(im)],
-        geometry=report.geometry,
-        dots=dots,
-    )
-    doc = {"figure": which, "svg": svg_path, "csv": csv_path, "points": len(rows), "drawn": drawn}
-    _emit(doc, out_dir, basename + ".json")
+        doc.update(points=len(rows), drawn=drawn)
+    _emit(doc, args.out, basename + ".json")
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # verify
 
+#: Each check at the default parameters that _run_check fills in.
 DEFAULT_CHECKS = [
-    {"name": "ramanujan-3lim", "q": 0.1, "a": 0.0, "tolerance": 1e-8},
-    {"name": "rbm", "q": 0.3, "alpha": {"angle": "sqrt(2)"}, "beta": {"angle": "1.0"},
-     "tolerance": 1e-10},
-    {"name": "stern-stolz", "ratio": 1.0 / 3.0, "tolerance": 1e-10},
+    {"name": "ramanujan-3lim", "tolerance": 1e-8},
+    {"name": "rbm", "tolerance": 1e-10},
+    {"name": "stern-stolz", "tolerance": 1e-10},
 ]
 
 
-def _run_check(check: dict) -> list[tuple[str, float, float]]:
+def _run_check(check: Any) -> list[tuple[str, float, float]]:
+    if not isinstance(check, dict):
+        raise ConfigError(f"config.checks: expected objects, got {check!r}")
     name = check.get("name")
     tolerance = float(check.get("tolerance", 1e-8))
     rows = []
@@ -447,65 +453,32 @@ def _run_check(check: dict) -> list[tuple[str, float, float]]:
     return rows
 
 
-def cmd_verify(config: dict | None, out_dir: str | None) -> int:
-    checks = DEFAULT_CHECKS
-    if config is not None:
-        if config.get("kind") != "q-identity":
-            raise ConfigError('verify needs config kind "q-identity"')
-        _require_keys(config, {"kind", "checks"}, "config")
-        checks = config.get("checks", DEFAULT_CHECKS)
-    rows: list[tuple[str, float, float]] = []
-    for check in checks:
-        rows.extend(_run_check(dict(check)))
+def cmd_verify(config: dict | None, args: argparse.Namespace) -> int:
+    checks = DEFAULT_CHECKS if config is None else _list(config, "checks", "config", DEFAULT_CHECKS)
+    rows = [row for check in checks for row in _run_check(check)]
     if not rows:
         raise ConfigError("no checks selected")
-    failed = [r for r in rows if not (r[1] < r[2])]
     width = max(len(r[0]) for r in rows)
     lines = []
     for label, residual, tolerance in rows:
         status = "PASS" if residual < tolerance else "FAIL"
         lines.append(f"{label.ljust(width)}  {residual:.3e}  (tol {tolerance:.1e})  {status}")
-    text = "\n".join(lines)
-    print(text)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify.txt"), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
-    return EXIT_VERIFY if failed else EXIT_OK
+    _emit("\n".join(lines), args.out, "verify.txt")
+    return EXIT_OK if all(residual < tolerance for _, residual, tolerance in rows) else EXIT_VERIFY
 
 
 # --------------------------------------------------------------------------
 # matrix-product / recurrence / rs-cf
 
-def _matrix_of(obj: Any, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"{where}: expected a matrix as list of rows")
-    rows = [[_complex_of(v, where) for v in row] for row in obj]
-    return np.asarray(rows, dtype=complex)
-
-
-def cmd_matrix_product(config: dict, out_dir: str | None) -> int:
-    if config.get("kind") != "matrix-product":
-        raise ConfigError('matrix-product needs config kind "matrix-product"')
-    _require_keys(config, {"kind", "mode", "m", "order", "perturbation", "tol", "side"}, "config")
+def cmd_matrix_product(config: dict, args: argparse.Namespace) -> int:
     mode = config.get("mode", "cocycle")
-    m = _matrix_of(config["m"], "config.m")
-    pert = config.get("perturbation", {})
-    _require_keys(pert, {"matrix", "ratio"}, "config.perturbation")
-    e = _matrix_of(pert["matrix"], "config.perturbation.matrix")
-    ratio = float(pert.get("ratio", 0.5))
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError("perturbation ratio must lie in [0, 1)")
+    m = _matrix_of(_field(config, "m", "config"), "config.m")
+    d_seq, tail = _matrix_perturbation(config, m)
     tol = float(config.get("tol", 1e-10))
     side = config.get("side", "left")
-    dim = m.shape[0]
-    tail = _cf.geometric_tail(_mp.entry_norm(e), ratio)
-    d_seq = lambda i: m + ratio**i * e
 
     if mode == "residue":
         order = int(config.get("order", 0))
-        if order < 1:
-            raise ConfigError("residue mode needs a positive order")
         res = _mp.residue_matrix_limits(d_seq, m, order, tol, side=side, tail_bound=tail)
         doc = {
             "mode": mode, "order": order, "side": side,
@@ -514,7 +487,7 @@ def cmd_matrix_product(config: dict, out_dir: str | None) -> int:
             "n_blocks": res.n_blocks,
         }
     elif mode == "cocycle":
-        pair = _mp.MatrixSequencePair(dim, d_seq, lambda i: m, tail, side=side)
+        pair = _mp.MatrixSequencePair(m.shape[0], d_seq, lambda i: m, tail, side=side)
         res = _mp.cocycle_limit(pair, tol)
         doc = {
             "mode": mode, "side": side,
@@ -525,17 +498,14 @@ def cmd_matrix_product(config: dict, out_dir: str | None) -> int:
         }
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    _emit(doc, out_dir, "matrix-product.json")
+    _emit(doc, args.out, "matrix-product.json")
     return EXIT_OK
 
 
-def cmd_recurrence(config: dict, out_dir: str | None) -> int:
-    if config.get("kind") != "recurrence":
-        raise ConfigError('recurrence needs config kind "recurrence"')
-    _require_keys(config, {"kind", "limits", "perturbations", "initial", "tol"}, "config")
-    limits = [_complex_of(v, "config.limits") for v in config["limits"]]
+def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
+    limits = [_complex_of(v, "config.limits") for v in _list(config, "limits", "config")]
     p = len(limits)
-    perts = config.get("perturbations", [{"coefficient": 0.0, "ratio": 0.0}] * p)
+    perts = _list(config, "perturbations", "config", [{"coefficient": 0.0, "ratio": 0.0}] * p)
     if len(perts) != p:
         raise ConfigError("one perturbation per coefficient required")
     parsed = []
@@ -544,13 +514,11 @@ def cmd_recurrence(config: dict, out_dir: str | None) -> int:
     for item in perts:
         _require_keys(item, {"coefficient", "ratio"}, "config.perturbations[]")
         coeff = _complex_of(item.get("coefficient", 0.0), "perturbation coefficient")
-        ratio = float(item.get("ratio", 0.0))
-        if not 0.0 <= ratio < 1.0:
-            raise ConfigError("perturbation ratio must lie in [0, 1)")
+        ratio = _ratio(item, "config.perturbations[]", 0.0)
         parsed.append((coeff, ratio))
         weight += abs(coeff)
         max_ratio = max(max_ratio, ratio)
-    initial = [_complex_of(v, "config.initial") for v in config.get("initial", [])]
+    initial = [_complex_of(v, "config.initial") for v in _list(config, "initial", "config", [])]
     if len(initial) != p:
         raise ConfigError(f"need {p} initial values")
     tol = float(config.get("tol", 1e-10))
@@ -569,31 +537,18 @@ def cmd_recurrence(config: dict, out_dir: str | None) -> int:
         "residual_interval": list(result.residual_interval),
         "n_terms": result.n_terms,
     }
-    _emit(doc, out_dir, "recurrence.json")
+    _emit(doc, args.out, "recurrence.json")
     return EXIT_OK
 
 
-def cmd_rs_cf(config: dict, out_dir: str | None) -> int:
-    if config.get("kind") != "rs-cf":
-        raise ConfigError('rs-cf needs config kind "rs-cf"')
-    _require_keys(config, {"kind", "r", "s", "theta_limit", "perturbation", "k_max", "tol"}, "config")
+def cmd_rs_cf(config: dict, args: argparse.Namespace) -> int:
     r = int(config.get("r", 1))
     s = int(config.get("s", 1))
-    theta = _matrix_of(config["theta_limit"], "config.theta_limit")
-    pert = config.get("perturbation", {})
-    _require_keys(pert, {"matrix", "ratio"}, "config.perturbation")
-    e = _matrix_of(pert["matrix"], "config.perturbation.matrix")
-    ratio = float(pert.get("ratio", 0.5))
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError("perturbation ratio must lie in [0, 1)")
+    theta = _matrix_of(_field(config, "theta_limit", "config"), "config.theta_limit")
+    theta_seq, tail = _matrix_perturbation(config, theta)
     k_max = int(config.get("k_max", 60))
     tol = float(config.get("tol", 1e-10))
-    system = _rs.RSSystem(
-        r, s,
-        lambda k: theta + ratio**k * e,
-        theta_limit=theta,
-        tail_bound=_cf.geometric_tail(_mp.entry_norm(e), ratio),
-    )
+    system = _rs.RSSystem(r, s, theta_seq, theta_limit=theta, tail_bound=tail)
     asym = _rs.rs_asymptotics(system, tol)
     samples = []
     for k, sk in _rs.rs_approximants(system, k_max):
@@ -611,12 +566,25 @@ def cmd_rs_cf(config: dict, out_dir: str | None) -> int:
         "n_terms": asym.n_terms,
         "samples": samples,
     }
-    _emit(doc, out_dir, "rs-cf.json")
+    _emit(doc, args.out, "rs-cf.json")
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # entry point
+
+#: subcommand -> (config kind, top-level fields besides "kind", runner,
+#: whether it takes --tol/--max-n).  Only verify runs without a config.
+COMMANDS: dict[str, tuple[str, set[str], Callable[[Any, argparse.Namespace], int], bool]] = {
+    "limit-set": ("elliptic-cf", ELLIPTIC_FIELDS | {"tol", "max_n"}, cmd_limit_set, True),
+    "figure": ("figure", {"which", "count", "trim", "cf", "basename"}, cmd_figure, True),
+    "verify": ("q-identity", {"checks"}, cmd_verify, False),
+    "matrix-product": ("matrix-product", {"mode", "m", "order", "perturbation", "tol", "side"},
+                       cmd_matrix_product, False),
+    "recurrence": ("recurrence", {"limits", "perturbations", "initial", "tol"}, cmd_recurrence, False),
+    "rs-cf": ("rs-cf", {"r", "s", "theta_limit", "perturbation", "k_max", "tol"}, cmd_rs_cf, False),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -624,35 +592,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Limit sets of divergent continued fractions and their relatives.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("limit-set", "figure", "verify", "matrix-product", "recurrence", "rs-cf"):
+    for name, (_, _, _, budget_flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON experiment config",
-                       required=name not in ("verify",))
+                       required=name != "verify")
         p.add_argument("--out", help="directory for emitted files")
-        if name in ("limit-set", "figure"):
+        if budget_flags:
             p.add_argument("--tol", type=float, default=None)
             p.add_argument("--max-n", type=int, default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    kind, fields, run, _ = COMMANDS[args.command]
     try:
-        config = load_config(args.config) if args.config else None
-        if args.command == "limit-set":
-            return cmd_limit_set(config, args.out, args.tol, args.max_n)
-        if args.command == "figure":
-            return cmd_figure(config, args.out, args.tol, args.max_n)
-        if args.command == "verify":
-            return cmd_verify(config, args.out)
-        if args.command == "matrix-product":
-            return cmd_matrix_product(config, args.out)
-        if args.command == "recurrence":
-            return cmd_recurrence(config, args.out)
-        if args.command == "rs-cf":
-            return cmd_rs_cf(config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        config = None
+        if args.config:
+            config = load_config(args.config)
+            if config.get("kind") != kind:
+                raise ConfigError(f'{args.command} needs config kind "{kind}"')
+            _require_keys(config, fields | {"kind"}, "config")
+        return run(config, args)
     except (ConfigError, ValueError) as exc:  # ValueError: out-of-range numbers, e.g. tol <= 0
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

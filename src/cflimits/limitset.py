@@ -452,7 +452,6 @@ class ResidueLimitsResult:
 def residue_limits(
     spec: EllipticCFSpec,
     tol: float = 1e-11,
-    max_blocks: int = 20_000,
     distinct_tol: float = 1e-6,
 ) -> ResidueLimitsResult:
     """Measure A_i = lim P_{mk+i}, B_i = lim Q_{mk+i} for root-of-unity data.
@@ -486,7 +485,7 @@ def residue_limits(
     monitor = _cf.Monitor(tol, _cf.BLOCK_WINDOW)
     delta = math.inf
     mag_bound = 1.0
-    for k in range(max_blocks):
+    for k in range(20_000):
         while len(block) < m:
             stream.step()
             product *= 1.0 - complex(spec.q(stream.n)) / ab
@@ -507,7 +506,7 @@ def residue_limits(
         block = []
     else:
         raise NoConvergenceError(
-            f"residue blocks not stable after {max_blocks} periods", last_delta=delta
+            "residue blocks not stable after 20000 periods", last_delta=delta
         )
 
     A = tuple(pq[0] for pq in prev_block)

@@ -88,7 +88,6 @@ def wedderburn_product(
     tail_bound: Callable[[int], float],
     tol: float = 1e-12,
     max_terms: int = 100_000,
-    dim: int | None = None,
     side: Side = "left",
 ) -> np.ndarray:
     """prod (I + A_i) for absolutely summable A_i, to within ``tol``.
@@ -99,7 +98,7 @@ def wedderburn_product(
     """
     _check_side(side)
     first = np.asarray(a_seq(1), dtype=complex)
-    d = dim if dim is not None else first.shape[0]
+    d = first.shape[0]
     eye = np.eye(d, dtype=complex)
     product = eye.copy()
     for i in range(1, max_terms + 1):
@@ -217,7 +216,6 @@ def residue_matrix_limits(
     tol: float = 1e-10,
     side: Side = "left",
     tail_bound: Callable[[int], float] | None = None,
-    max_blocks: int = 50_000,
 ) -> ResidueMatrixResult:
     """F = lim of whole-period partial products when D_n -> M with M^order = I.
 
@@ -238,7 +236,7 @@ def residue_matrix_limits(
     delta = math.inf
     monitor = Monitor(tol, BLOCK_WINDOW)
     n = 0
-    for k in range(1, max_blocks + 1):
+    for k in range(1, 50_001):
         for _ in range(order):
             n += 1
             dn = np.asarray(d_seq(n), dtype=complex).reshape(d, d)
@@ -252,7 +250,7 @@ def residue_matrix_limits(
         if monitor.update(delta, tail):
             break
     else:
-        raise BudgetExceededError(f"residue blocks not stable after {max_blocks} periods")
+        raise BudgetExceededError("residue blocks not stable after 50000 periods")
 
     f = prev_block
     powers = [eye.copy()]

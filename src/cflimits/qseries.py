@@ -26,7 +26,6 @@ class QParams:
 
     q: complex
     tol: float = 1e-14
-    max_terms: int = 100_000
 
     def __post_init__(self):
         object.__setattr__(self, "q", complex(self.q))
@@ -79,7 +78,7 @@ def pxy(x: complex, y: complex, params: QParams) -> complex:
     term = 1.0 + 0.0j
     qn = 1.0 + 0.0j
     r = abs(q)
-    for n in range(1, params.max_terms + 1):
+    for n in range(1, 100_001):
         qn *= q
         d1 = 1.0 - qn
         d2 = 1.0 - y * qn

@@ -143,7 +143,6 @@ def asymptotic_coefficients(
     rec: PoincareRecurrence,
     initial: Sequence[complex],
     tol: float = 1e-10,
-    max_terms: int = 200_000,
 ) -> AsymptoticCoefficients:
     """Extract the c_i from the transfer-matrix cocycle.
 
@@ -164,7 +163,7 @@ def asymptotic_coefficients(
         tail_bound=(None if rec.tail_bound is None else (lambda n: rec.tail_bound(max(0, n - 1)))),
         side="left",
     )
-    cocycle = _mp.cocycle_limit(pair, tol, max_terms)
+    cocycle = _mp.cocycle_limit(pair, tol)
     u0 = np.asarray([complex(v) for v in initial], dtype=complex)
     y = u0 @ cocycle.f
     surrogate = np.empty(p, dtype=complex)
@@ -200,7 +199,6 @@ def residue_limits_recurrence(
     rec: PoincareRecurrence,
     initial: Sequence[complex],
     tol: float = 1e-10,
-    max_blocks: int = 50_000,
 ) -> RecurrenceResidues:
     """l_j = lim x_{nm+j} when every root is an exact root of unity.
 
@@ -228,7 +226,7 @@ def residue_limits_recurrence(
     delta = math.inf
     monitor = Monitor(tol, BLOCK_WINDOW)
     block: list[complex] = []
-    for k in range(max_blocks):
+    for k in range(50_000):
         block = [next(values) for _ in range(m)]
         if prev is not None:
             delta = max(abs(x - y) for x, y in zip(block, prev))
@@ -239,7 +237,7 @@ def residue_limits_recurrence(
         if monitor.update(delta, tail):
             break
     else:
-        raise BudgetExceededError(f"residue blocks not stable after {max_blocks} periods")
+        raise BudgetExceededError("residue blocks not stable after 50000 periods")
     l = tuple(block)
 
     coeffs = asymptotic_coefficients(rec, initial, tol)

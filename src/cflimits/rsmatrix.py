@@ -143,7 +143,6 @@ class RSAsymptotics:
 def rs_asymptotics(
     sys: RSSystem,
     tol: float = 1e-10,
-    max_terms: int = 200_000,
 ) -> RSAsymptotics:
     """F = lim theta^-k theta_k ... theta_1 and the predictor k -> f(theta^k F).
 
@@ -160,7 +159,7 @@ def rs_asymptotics(
         tail_bound=sys.tail_bound,
         side="right",
     )
-    result = _mp.cocycle_limit(pair, tol, max_terms)
+    result = _mp.cocycle_limit(pair, tol)
     eigvals, eigvecs = np.linalg.eig(theta)
     return RSAsymptotics(
         f_matrix=result.f,

@@ -26,30 +26,42 @@ def write_csv(path: str, rows: Iterable[tuple[int, float, float]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class _Viewport:
-    """Maps a data window onto SVG pixel coordinates (y axis flipped)."""
+#: Width and height of every figure, in SVG pixels.
+SIZE = 480
+_HEADER = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{SIZE}" height="{SIZE}" '
+    f'viewBox="0 0 {SIZE} {SIZE}">\n'
+    f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>'
+)
 
-    def __init__(self, xmin, xmax, ymin, ymax, size=480, pad=0.05):
-        spanx = max(xmax - xmin, 1e-9)
-        spany = max(ymax - ymin, 1e-9)
-        span = max(spanx, spany)
+
+def _write_svg(path: str, parts: list[str]) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join([_HEADER, *parts, "</svg>"]) + "\n")
+
+
+class _Viewport:
+    """Maps a data window, squared and padded by 5% a side, onto SVG pixels (y flipped)."""
+
+    def __init__(self, xmin, xmax, ymin, ymax):
+        span = max(xmax - xmin, ymax - ymin, 1e-9)
         cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
-        half = span * (0.5 + pad)
+        half = span * 0.55
         self.xmin, self.xmax = cx - half, cx + half
         self.ymin, self.ymax = cy - half, cy + half
-        self.size = size
 
     def x(self, v: float) -> float:
-        return (v - self.xmin) / (self.xmax - self.xmin) * self.size
+        return (v - self.xmin) / (self.xmax - self.xmin) * SIZE
 
     def y(self, v: float) -> float:
-        return (self.ymax - v) / (self.ymax - self.ymin) * self.size
+        return (self.ymax - v) / (self.ymax - self.ymin) * SIZE
 
     def contains(self, re: float, im: float) -> bool:
         return self.xmin <= re <= self.xmax and self.ymin <= im <= self.ymax
 
     def scale(self) -> float:
-        return self.size / (self.xmax - self.xmin)
+        return SIZE / (self.xmax - self.xmin)
 
 
 def scatter_svg(
@@ -57,37 +69,21 @@ def scatter_svg(
     points: Sequence[tuple[float, float]],
     geometry: CircleOrLine | None = None,
     dots: Sequence[tuple[float, float]] = (),
-    window: tuple[float, float, float, float] | None = None,
-    size: int = 480,
 ) -> int:
     """Scatter plot with an optional predicted circle/line and marker dots.
 
-    ``window`` fixes the data window (xmin, xmax, ymin, ymax); otherwise it
-    is fitted to the geometry overlay and dots if present, else to the
-    points.  Returns the number of points drawn (others fall outside).
+    The data window is fitted to the geometry overlay and dots if present,
+    else to the points.  Returns the number of points drawn (others fall
+    outside).
     """
-    if window is not None:
-        vp = _Viewport(*window, size=size)
-    else:
-        xs: list[float] = []
-        ys: list[float] = []
-        if isinstance(geometry, Circle):
-            xs += [geometry.center.real - geometry.radius, geometry.center.real + geometry.radius]
-            ys += [geometry.center.imag - geometry.radius, geometry.center.imag + geometry.radius]
-        for re, im in dots:
-            xs.append(re)
-            ys.append(im)
-        if not xs:
-            xs = [re for re, _ in points] or [0.0, 1.0]
-            ys = [im for _, im in points] or [0.0, 1.0]
-        vp = _Viewport(min(xs), max(xs), min(ys), max(ys), size=size)
+    frame = list(dots)
+    if isinstance(geometry, Circle):
+        c, r = geometry.center, geometry.radius
+        frame += [(c.real - r, c.imag - r), (c.real + r, c.imag + r)]
+    xs, ys = zip(*(frame or points or [(0.0, 0.0), (1.0, 1.0)]))
+    vp = _Viewport(min(xs), max(xs), min(ys), max(ys))
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = []
     if isinstance(geometry, Circle):
         parts.append(
             f'<circle cx="{fmt(vp.x(geometry.center.real))}" cy="{fmt(vp.y(geometry.center.imag))}" '
@@ -112,9 +108,7 @@ def scatter_svg(
         parts.append(
             f'<circle cx="{fmt(vp.x(re))}" cy="{fmt(vp.y(im))}" r="5" fill="#d62728"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
     return drawn
 
 
@@ -123,30 +117,22 @@ def histogram_svg(
     edges: Sequence[float],
     counts: Sequence[int],
     marker: float | None = None,
-    size: int = 480,
 ) -> None:
     """Bar chart of a 1-D histogram with an optional vertical marker line."""
     peak = max(max(counts), 1)
     left, right = edges[0], edges[-1]
-    width = size / (len(counts))
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    width = SIZE / (len(counts))
+    parts = []
     for i, count in enumerate(counts):
-        h = (size - 20) * count / peak
+        h = (SIZE - 20) * count / peak
         parts.append(
-            f'<rect x="{fmt(i * width)}" y="{fmt(size - h)}" width="{fmt(width * 0.9)}" '
+            f'<rect x="{fmt(i * width)}" y="{fmt(SIZE - h)}" width="{fmt(width * 0.9)}" '
             f'height="{fmt(h)}" fill="#1f77b4"/>'
         )
     if marker is not None and right > left:
-        mx = (marker - left) / (right - left) * size
+        mx = (marker - left) / (right - left) * SIZE
         parts.append(
-            f'<line x1="{fmt(mx)}" y1="0" x2="{fmt(mx)}" y2="{size}" '
+            f'<line x1="{fmt(mx)}" y1="0" x2="{fmt(mx)}" y2="{SIZE}" '
             'stroke="#d62728" stroke-width="1.5"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)

@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +30,13 @@ WORKED_CONFIG = {
     "beta": {"angle": "sqrt(13)"},
     "p": {"type": "geometric", "coefficient": 1.0, "ratio": 0.3},
     "q": {"type": "geometric", "coefficient": 1.0, "ratio": 0.2},
+}
+
+
+MP_CONFIG = {
+    "kind": "matrix-product",
+    "m": [[0.0, -1.0], [1.0, 0.0]],
+    "perturbation": {"matrix": [[0.1, 0.0], [0.0, 0.1]]},
 }
 
 
@@ -112,6 +124,41 @@ class TestConfigValidation:
         path = write_config(tmp_path, "g.json", dict(WORKED_CONFIG, max_n=max_n))
         assert cli.main(["limit-set", "--config", path]) == cli.EXIT_CONFIG
         assert "max_n must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("matrix-product", {k: v for k, v in MP_CONFIG.items() if k != "m"}, "missing field 'm'"),
+            ("matrix-product", dict(MP_CONFIG, perturbation={"ratio": 0.5}), "missing field 'matrix'"),
+            ("rs-cf", {"kind": "rs-cf", "perturbation": {"matrix": [[0.1]]}}, "missing field 'theta_limit'"),
+            ("recurrence", {"kind": "recurrence", "initial": [1.0]}, "missing field 'limits'"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "geometric"}), "missing field 'ratio'"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "poly-qn", "coefficients": [0, 1]}), "missing field 'q'"),
+            ("recurrence", {"kind": "recurrence", "limits": [1.0, 2.0], "initial": [1.0, 0.5],
+                            "perturbations": [5, 6]}, "perturbations"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "poly-qn", "q": 0.2, "coefficients": 5}),
+             "coefficients"),
+            ("verify", {"kind": "q-identity", "checks": [5]}, "checks"),
+        ],
+        ids=["mp-no-m", "mp-no-matrix", "rs-no-theta", "rec-no-limits", "geometric-no-ratio",
+             "poly-no-q", "perturbations-not-objects", "coefficients-not-list", "checks-not-objects"],
+    )
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, command, config, field):
+        path = write_config(tmp_path, "bad.json", config)
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert field in err
+
+    def test_custom_figure_cf_rejects_run_fields(self, tmp_path, capsys):
+        cf = {k: v for k, v in WORKED_CONFIG.items() if k != "kind"}
+        for extra in ({"kind": "banana"}, {"tol": 1e-3}, {"max_n": 5}):
+            config = {"kind": "figure", "which": "custom", "cf": dict(cf, **extra)}
+            path = write_config(tmp_path, "fc.json", config)
+            assert cli.main(["figure", "--config", path, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config.cf" in err and next(iter(extra)) in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [["--tol", "1e-2"], ["--max-n", "3"]])
     @pytest.mark.parametrize("command", ["verify", "matrix-product", "recurrence", "rs-cf"])
@@ -364,3 +411,132 @@ class TestDeterminism:
             capsys.readouterr()
             texts.append((out / "verify.txt").read_bytes())
         assert texts[0] == texts[1]
+
+
+_D = 1.0 / math.sqrt(3.0)
+
+#: Small configs for every subcommand: (subcommand, extra flags, config).
+RECORDED_CASES = {
+    "ls-irrational": ("limit-set", [], WORKED_CONFIG),
+    "ls-order17": ("limit-set", [], dict(WORKED_CONFIG, beta={"angle": "sqrt(11)+2*pi*(1/17)"})),
+    "ls-line": ("limit-set", [], {
+        "kind": "elliptic-cf", "alpha": {"angle": "0.8410686705679302"},
+        "beta": {"angle": "-0.8410686705679302"}, "p": {"type": "zero"}, "q": {"type": "zero"},
+    }),
+    "ls-polyqn": ("limit-set", [], {
+        "kind": "elliptic-cf", "alpha": {"root": [1, 12]}, "beta": {"root": [11, 12]},
+        "p": {"type": "poly-qn", "q": 0.3, "coefficients": [0, 1.0 / _D]},
+        "q": {"type": "poly-qn", "q": 0.3, "coefficients": [0, 1.0 / _D**2]},
+    }),
+    "ls-flags": ("limit-set", ["--tol", "1e-8", "--max-n", "50000"], dict(WORKED_CONFIG, tol=1e-6, max_n=1000)),
+    "fig-custom": ("figure", [], {
+        "kind": "figure", "which": "custom", "count": 400, "basename": "mine",
+        "cf": {k: v for k, v in WORKED_CONFIG.items() if k != "kind"},
+    }),
+    "fig5": ("figure", ["--max-n", "100000"], {"kind": "figure", "which": "fig5", "basename": "five"}),
+    "fig6-trim": ("figure", [], {"kind": "figure", "which": "fig6", "trim": 4.0, "count": 500}),
+    "mp-residue": ("matrix-product", [], {
+        "kind": "matrix-product", "mode": "residue", "order": 2, "m": [[1.0, 0.0], [0.0, -1.0]],
+        "perturbation": {"matrix": [[0.25, 0.0], [0.0, 0.0]], "ratio": 1.0 / 3.0},
+    }),
+    "mp-cocycle-right": ("matrix-product", [], {
+        "kind": "matrix-product", "mode": "cocycle", "side": "right", "m": [[0.0, -1.0], [1.0, 0.0]],
+        "perturbation": {"matrix": [[0.1, 0.2], [0.0, 0.3]], "ratio": 0.5},
+    }),
+    "mp-cocycle-left": ("matrix-product", [], {
+        "kind": "matrix-product", "m": [[0.0, -1.0], [1.0, 0.0]], "tol": 1e-9,
+        "perturbation": {"matrix": [[0.1, [0.2, 0.1]], [0.0, 0.3]]},
+    }),
+    "rec-pert": ("recurrence", [], {
+        "kind": "recurrence", "limits": [-1.0, 4.0 / 3.0], "initial": [1.0, 0.5],
+        "perturbations": [{"coefficient": 1.0, "ratio": 0.3}, {"coefficient": 0.0, "ratio": 0.0}],
+    }),
+    "rec-nopert": ("recurrence", [], {
+        "kind": "recurrence", "limits": [-1.0, 4.0 / 3.0], "initial": [1.0, 0.5], "tol": 1e-9,
+    }),
+    "rs-cf": ("rs-cf", [], {
+        "kind": "rs-cf", "r": 1, "s": 1, "theta_limit": [[0.0, 1.0], [-1.0, 4.0 / 3.0]],
+        "perturbation": {"matrix": [[0.0, 0.0], [0.2, 0.1]], "ratio": 0.4}, "k_max": 80,
+    }),
+    "verify-default": ("verify", [], None),
+    "verify-pass": ("verify", [], {"kind": "q-identity", "checks": [
+        {"name": "stern-stolz", "ratio": 0.25}, {"name": "ramanujan-3lim", "q": 0.2},
+    ]}),
+    "verify-fail": ("verify", [], {"kind": "q-identity", "checks": [
+        {"name": "rbm", "q": 0.3, "alpha": {"angle": "sqrt(2)"}, "beta": {"angle": "1.0"}, "tolerance": 1e-30},
+    ]}),
+}
+
+#: sha256 of exit code, stdout and every emitted file per case.  Floats are
+#: printed in a fixed format, so a mismatch means a number or the layout of
+#: an output changed; refactors of the CLI must leave these as they are.
+RECORDED = {
+    "fig-custom": "6c606ffbbd1e68b2bc0f51f9de5c580e61ed4047124e7bd310ecd7f0524d3b2e",
+    "fig5": "c4f907dd30d4954623b89f6ffb7df7f693fae9536a270440d6a1ee174dc2c74c",
+    "fig6-trim": "663fb723876335e3a62c6423b8e4b4e71dd8428479b3fd0321ec0d12ded9879d",
+    "ls-flags": "f93643b3079a41f9ceb16bdd6a344f107568f1626e820cccd98421b278e8bd3c",
+    "ls-irrational": "5d32371e85965f43afe581ae4c15d888c1d4cf370ace0107656399ad24cc9b28",
+    "ls-line": "16b9d0d04821b315ed3946de8fe720e1867e9e8a02ee6449da029cd517b2474c",
+    "ls-order17": "73e6390b25dda162ccf2aa4d02d4f2027d95a488f5af9463d7acd1ecfac00759",
+    "ls-polyqn": "d216bc23e5ec49b264751ce080cda590a730153c36eb47fd3f3e9d9f3da3d0ae",
+    "mp-cocycle-left": "7ebf6c3fa2c66eb1e292a6eea46f260ee0b1f46a57f6611efd320db38c174823",
+    "mp-cocycle-right": "cfffc6c585dcaef614b752eb94193db7f04e3c87a5d3481623e49a16695e8156",
+    "mp-residue": "b43f0db11765a9de0d65a01270c5f5a07e056bc6165828d56dd94338e703a5b4",
+    "rec-nopert": "8dc965e44b374328fb6407d6836a0fa34e5d5e3fdc85fcb32df0e03aec800c7d",
+    "rec-pert": "f240c35745514a973b9c3e45ba624bc9df5e556eaa38dd7375ec5644094e1607",
+    "rs-cf": "e5ab183b98edd35fb7d177a125c8035de279099298ffe8ef672a1b78a6ac19fc",
+    "verify-default": "368ecf00e2d457ea6acf1000e03b32333b6d5031e82b9bdfee54463493a38811",
+    "verify-fail": "bcdf3bad10dda956b45bf75f4f4c389a15c9af0c7ccaaa365a6b590b729e7077",
+    "verify-pass": "4317c5337fc3fe3de31792120188904d081b6878fe05441c249e6a6fb6c7fdfa",
+}
+
+
+def recorded_digest(name: str) -> str:
+    """Run one case from the current directory with --out out/<name>; hash what it emits."""
+    command, flags, config = RECORDED_CASES[name]
+    out = os.path.join("out", name)
+    argv = [command, "--out", out, *flags]
+    if config is not None:
+        with open(name + ".json", "w", encoding="ascii") as fh:
+            json.dump(config, fh)
+        argv += ["--config", name + ".json"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    digest = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), "rb") as fh:
+            digest.update(file.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
+class TestRecordedOutputs:
+    @pytest.mark.parametrize("name", sorted(RECORDED_CASES))
+    def test_bytes_match_recording(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert recorded_digest(name) == RECORDED[name]
+
+
+class TestModuleEntryPoint:
+    """``python -m cflimits.cli`` as a fresh interpreter."""
+
+    @staticmethod
+    def run(*argv, cwd):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "cflimits.cli", *argv], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_verify_exits_zero(self, tmp_path):
+        proc = self.run("verify", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+    def test_missing_field_exits_2_without_traceback(self, tmp_path):
+        path = write_config(tmp_path, "mp.json", {k: v for k, v in MP_CONFIG.items() if k != "m"})
+        proc = self.run("matrix-product", "--config", path, cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
