@@ -19,7 +19,7 @@ from .errors import (
     RootOfUnityLambdaError,
     SeriesNotConvergedError,
 )
-from .limitset import EllipticCFSpec, UnitModulusNumber, tail_omega
+from .limitset import EllipticCFSpec, UnitModulusNumber, build_cf, tail_omega
 from .sphere import ExtendedComplex, chordal_distance
 
 
@@ -88,7 +88,7 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
 
     where w_n is the tail value shifted by k.  Requires lambda not to be a
     root of unity (the shifted tail values must stay finite); E_{n-1} = 0 is
-    reported as DegenerateTermError(n).
+    reported as DegenerateTermError(n), and q_n = alpha beta as in ``build_cf``.
     """
     lam = spec.lam
     if lam.is_exact_root:
@@ -98,6 +98,7 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
     ab = (alpha * beta).value
     absum = av + bv
     p, q = spec.p, spec.q
+    original = build_cf(spec).terms
     kp = max(3, k + 3)
 
     def w(j: int) -> complex:
@@ -111,16 +112,17 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
 
     def terms(n: int) -> tuple[complex, complex]:
         if n < kp:
-            return -ab + complex(q(n)), absum + complex(p(n))
+            return original(n)
         if n == kp:
-            return -ab + complex(q(n)), absum + complex(p(n)) + w(n)
+            a, b = original(n)
+            return a, b + w(n)
         if n == kp + 1:
             return e(n), absum + complex(p(n)) + w(n)
         inner_den = e(n - 1)
         if inner_den == 0:
             raise DegenerateTermError(n)
         inner = e(n) / inner_den
-        num = (complex(q(n - 1)) - ab) * inner
+        num = original(n - 1)[0] * inner
         den = absum + complex(p(n)) + w(n) - w(n - 2) * inner
         return num, den
 
@@ -156,13 +158,9 @@ def rbm_identity(
         return -ab * q, q**n + av + bv * q
 
     fraction = _cf.ContinuedFraction(-bv, terms)
-    result = _cf.evaluate(fraction, tol, max_n, on_zero_numerator="terminate")
-    if not result.converged:
-        raise SeriesNotConvergedError(
-            f"transformed fraction not stable after {max_n} terms",
-            last_delta=result.last_delta,
-        )
-    lhs = result.value
+    lhs = _cf.evaluate(fraction, tol, max_n, on_zero_numerator="terminate").limit(
+        SeriesNotConvergedError, f"transformed fraction not stable after {max_n} terms"
+    )
 
     params = _qs.QParams(q, min(tol, 1e-14))
     numerator = _qs.pxy(q / av, bv / av, params)

@@ -23,11 +23,10 @@ renormalizer, and ``geometric_tail`` the one geometric tail bound.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
-from .errors import ZeroPartialNumeratorError, ZeroScaleError
+from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
 from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
@@ -49,18 +48,21 @@ class Monitor:
     bound on the remaining distance to the limit.  It returns "window"
     once ``window`` consecutive steps are under ``tol``, "tail-bound" when
     the bound is, and None otherwise.  A window stop is a heuristic: it is
-    taken even while a supplied tail bound still exceeds ``tol``.
+    taken even while a supplied tail bound still exceeds ``tol``.  ``step``
+    measures a term by ``distance(term, last_term)``; do not mutate it later.
     """
 
-    __slots__ = ("tol", "window", "stable", "last_delta")
+    __slots__ = ("tol", "window", "distance", "stable", "last_delta", "last_term")
 
-    def __init__(self, tol: float, window: int):
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+    def __init__(self, tol: float, window: int, distance: Callable[[Any, Any], float] | None = None):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
         self.tol = tol
         self.window = window
+        self.distance = distance
         self.stable = 0
         self.last_delta: float | None = None
+        self.last_term = None
 
     def update(self, delta: float, tail_bound: float | None = None) -> str | None:
         self.last_delta = delta
@@ -70,6 +72,15 @@ class Monitor:
         if tail_bound is not None and tail_bound < self.tol:
             return "tail-bound"
         return None
+
+    def step(self, term, tail_bound: float | None) -> str | None:
+        delta = math.inf if self.last_term is None else self.distance(term, self.last_term)
+        self.last_term = term
+        return self.update(delta, tail_bound)
+
+    def exhausted(self, message: str, error=NoConvergenceError) -> NoConvergenceError:
+        """The budget error to raise, carrying the last step size."""
+        return error(message, last_delta=self.last_delta)
 
 
 def renorm_exponent(mag: float, threshold: float) -> int:
@@ -119,7 +130,7 @@ class ConvergentStream:
     is checkable at every step.
     """
 
-    def __init__(self, cf: ContinuedFraction, renorm_threshold: float = RENORM_THRESHOLD):
+    def __init__(self, cf: ContinuedFraction, renorm_threshold: float):
         self.cf = cf
         self.renorm_threshold = float(renorm_threshold)
         self.n = 0
@@ -210,14 +221,18 @@ class EvalResult:
     """Outcome of an approximant iteration.
 
     ``value`` is the limit when ``converged`` is true, otherwise None.
-    ``history`` keeps the last few approximants for diagnostics.
     """
 
     converged: bool
     value: ExtendedComplex | None
     n: int
     last_delta: float | None
-    history: tuple[ExtendedComplex, ...] = field(default=())
+
+    def limit(self, error: type[NoConvergenceError], message: str) -> ExtendedComplex:
+        """The value, or ``error(message)`` carrying the last step when not converged."""
+        if not self.converged:
+            raise error(message, last_delta=self.last_delta)
+        return self.value
 
 
 def _settle(
@@ -229,17 +244,15 @@ def _settle(
     sample is its exact value.
     """
     monitor = Monitor(tol, window)
-    history: deque[ExtendedComplex] = deque(maxlen=window)
     n, prev = 0, None
     for k, value in samples:
         if value is None:
-            return EvalResult(True, prev, n, monitor.last_delta, tuple(history))
+            return EvalResult(True, prev, n, monitor.last_delta)
         n = k
-        history.append(value)
         if prev is not None and monitor.update(chordal_distance(value, prev)):
-            return EvalResult(True, value, n, monitor.last_delta, tuple(history))
+            return EvalResult(True, value, n, monitor.last_delta)
         prev = value
-    return EvalResult(False, None, n, monitor.last_delta, tuple(history))
+    return EvalResult(False, None, n, monitor.last_delta)
 
 
 def evaluate(
@@ -256,7 +269,7 @@ def evaluate(
     """
 
     def samples():
-        stream = ConvergentStream(cf)
+        stream = convergents(cf)
         yield 0, stream.value()
         for _ in range(max_n):
             try:
@@ -285,7 +298,7 @@ def modified_value(
     """
 
     def samples():
-        stream = ConvergentStream(cf)
+        stream = convergents(cf)
         for _ in range(max_n):
             stream.step()
             yield stream.n, stream.modified(w(stream.n))
@@ -304,7 +317,7 @@ def limit_along_residue(
     """Limit of (optionally modified) approximants along n = residue (mod m)."""
 
     def samples():
-        stream = ConvergentStream(cf)
+        stream = convergents(cf)
         current = stream.value if w is None else (lambda: stream.modified(w(stream.n)))
         if residue % modulus == 0:
             yield 0, current()

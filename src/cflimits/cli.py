@@ -72,9 +72,18 @@ def _list(obj: dict, key: str, where: str, default: list | None = None) -> list:
     return value
 
 
+def _number(obj: dict, key: str, where: str, default: Any, kind: type) -> Any:
+    """A scalar field read by ``kind`` (float or int); required when the default is None."""
+    value = _field(obj, key, where) if default is None else obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def _ratio(obj: dict, where: str, default: float | None = None) -> float:
     """A geometric ratio in [0, 1); required unless a default is given."""
-    ratio = float(_field(obj, "ratio", where) if default is None else obj.get("ratio", default))
+    ratio = _number(obj, "ratio", where, default, float)
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"{where}.ratio must lie in [0, 1)")
     return ratio
@@ -150,10 +159,10 @@ def _unit_point(obj: Any, where: str) -> UnitModulusNumber:
     if isinstance(obj, dict):
         _require_keys(obj, {"root", "angle"}, where)
         if "root" in obj:
-            pair = obj["root"]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"{where}.root must be [num, den]")
-            return UnitModulusNumber.root_of_unity(int(pair[0]), int(pair[1]))
+            pair = [_number({"root": v}, "root", where, None, int) for v in _list(obj, "root", where)]
+            if len(pair) != 2 or pair[1] == 0:
+                raise ConfigError(f"{where}.root must be [num, den] with den != 0, got {obj['root']!r}")
+            return UnitModulusNumber.root_of_unity(*pair)
         if "angle" in obj:
             return parse_angle_expression(str(obj["angle"]))
     raise ConfigError(f'{where}: expected {{"root": [num, den]}} or {{"angle": "..."}}')
@@ -215,6 +224,8 @@ def _matrix_perturbation(
     """config.perturbation {matrix, ratio} -> (k -> limit + ratio**k * E, geometric tail)."""
     pert = _require_keys(config.get("perturbation", {}), {"matrix", "ratio"}, "config.perturbation")
     e = _matrix_of(_field(pert, "matrix", "config.perturbation"), "config.perturbation.matrix")
+    if e.shape != limit.shape:
+        raise ConfigError(f"config.perturbation.matrix must have the limit's shape {limit.shape}, got {e.shape}")
     ratio = _ratio(pert, "config.perturbation", 0.5)
     return (lambda k: limit + ratio**k * e), _cf.geometric_tail(_mp.entry_norm(e), ratio)
 
@@ -271,11 +282,10 @@ def _emit(report: dict | str, out_dir: str | None, name: str) -> None:
 # limit-set
 
 def cmd_limit_set(config: dict, args: argparse.Namespace) -> int:
-    report = _ls.limit_set_report(
-        _elliptic_spec(config, "config"),
-        tol=args.tol if args.tol is not None else float(config.get("tol", 1e-10)),
-        max_n=_budget(args.max_n if args.max_n is not None else int(config.get("max_n", 200_000))),
-    )
+    spec = _elliptic_spec(config, "config")
+    tol = args.tol if args.tol is not None else _number(config, "tol", "config", 1e-10, float)
+    max_n = args.max_n if args.max_n is not None else _number(config, "max_n", "config", 200_000, int)
+    report = _ls.limit_set_report(spec, tol, _budget(max_n))
     doc = {
         "h": {k: _ser_complex(getattr(report.h, k)) for k in "abcd"},
         "m": report.m,
@@ -356,7 +366,7 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
         spec = _elliptic_spec(cf, "config.cf")
     else:
         spec = _builtin_fig_spec(which)
-    count = int(config.get("count", FIGURE_DEFAULTS[which]))
+    count = _number(config, "count", "config", FIGURE_DEFAULTS[which], int)
     basename = str(config.get("basename", which if which != "custom" else "figure"))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -367,7 +377,7 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
 
     conc = report.concentration
     if which == "fig6":
-        trim = float(config.get("trim", 10.0))
+        trim = _number(config, "trim", "config", 10.0, float)
         points = approximant_points(spec, count)
         _svg.write_csv(csv_path, _csv_rows(points))
         kept = [v.z.real for _, v in points if not v.is_infinity and abs(v.z) <= trim]
@@ -419,7 +429,7 @@ def _run_check(check: Any) -> list[tuple[str, float, float]]:
     if not isinstance(check, dict):
         raise ConfigError(f"config.checks: expected objects, got {check!r}")
     name = check.get("name")
-    tolerance = float(check.get("tolerance", 1e-8))
+    tolerance = _number(check, "tolerance", "check", 1e-8, float)
     rows = []
     if name == "ramanujan-3lim":
         _require_keys(check, {"name", "q", "a", "tolerance"}, "check")
@@ -439,7 +449,7 @@ def _run_check(check: Any) -> list[tuple[str, float, float]]:
         rows.append((f"rbm q={q.real:g}", residual, tolerance))
     elif name == "stern-stolz":
         _require_keys(check, {"name", "ratio", "tolerance"}, "check")
-        ratio = float(check.get("ratio", 1.0 / 3.0))
+        ratio = _number(check, "ratio", "check", 1.0 / 3.0, float)
         spec = _ls.geometric_spec(
             UnitModulusNumber.root_of_unity(0, 1),
             UnitModulusNumber.root_of_unity(1, 2),
@@ -474,11 +484,11 @@ def cmd_matrix_product(config: dict, args: argparse.Namespace) -> int:
     mode = config.get("mode", "cocycle")
     m = _matrix_of(_field(config, "m", "config"), "config.m")
     d_seq, tail = _matrix_perturbation(config, m)
-    tol = float(config.get("tol", 1e-10))
+    tol = _number(config, "tol", "config", 1e-10, float)
     side = config.get("side", "left")
 
     if mode == "residue":
-        order = int(config.get("order", 0))
+        order = _number(config, "order", "config", 0, int)
         res = _mp.residue_matrix_limits(d_seq, m, order, tol, side=side, tail_bound=tail)
         doc = {
             "mode": mode, "order": order, "side": side,
@@ -521,7 +531,7 @@ def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
     initial = [_complex_of(v, "config.initial") for v in _list(config, "initial", "config", [])]
     if len(initial) != p:
         raise ConfigError(f"need {p} initial values")
-    tol = float(config.get("tol", 1e-10))
+    tol = _number(config, "tol", "config", 1e-10, float)
 
     def coefficients(n: int):
         return [limits[r] + parsed[r][0] * parsed[r][1] ** n for r in range(p)]
@@ -542,12 +552,12 @@ def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_rs_cf(config: dict, args: argparse.Namespace) -> int:
-    r = int(config.get("r", 1))
-    s = int(config.get("s", 1))
+    r = _number(config, "r", "config", 1, int)
+    s = _number(config, "s", "config", 1, int)
     theta = _matrix_of(_field(config, "theta_limit", "config"), "config.theta_limit")
     theta_seq, tail = _matrix_perturbation(config, theta)
-    k_max = int(config.get("k_max", 60))
-    tol = float(config.get("tol", 1e-10))
+    k_max = _number(config, "k_max", "config", 60, int)
+    tol = _number(config, "tol", "config", 1e-10, float)
     system = _rs.RSSystem(r, s, theta_seq, theta_limit=theta, tail_bound=tail)
     asym = _rs.rs_asymptotics(system, tol)
     samples = []

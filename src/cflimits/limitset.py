@@ -93,9 +93,6 @@ class UnitModulusNumber:
     def value(self) -> complex:
         return cmath.rect(1.0, TAU * float(self.turns) + self.residual)
 
-    def angle(self) -> float:
-        return TAU * float(self.turns) + self.residual
-
     def power(self, n: int) -> "UnitModulusNumber":
         return UnitModulusNumber(self.turns * n, math.remainder(self.residual * n, TAU))
 
@@ -109,9 +106,6 @@ class UnitModulusNumber:
         num, den = self.turns.numerator, self.turns.denominator
         turns = (num * n) % den / den
         return cmath.rect(1.0, TAU * turns + math.remainder(self.residual * n, TAU))
-
-    def inverse(self) -> "UnitModulusNumber":
-        return UnitModulusNumber(-self.turns, -self.residual)
 
     def __mul__(self, other: "UnitModulusNumber") -> "UnitModulusNumber":
         return UnitModulusNumber(self.turns + other.turns, self.residual + other.residual)
@@ -279,9 +273,9 @@ def compute_h_direct(
     stream = _cf.convergents(build_cf(spec))
     ab = (alpha * beta).value
 
-    monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
-    prev = None
-    delta = math.inf
+    monitor = _cf.Monitor(
+        tol, _cf.STABILITY_WINDOW, lambda new, old: max(abs(x - y) for x, y in zip(new, old))
+    )
     mag_bound = 1.0
     product = 1.0 + 0.0j
     for _ in range(max_n):
@@ -300,18 +294,13 @@ def compute_h_direct(
             -binv * (qn - a_val * qm),
         )
         mag_bound = max(mag_bound, abs(pn), abs(qn))
-        if prev is not None:
-            delta = max(abs(x - y) for x, y in zip(quad, prev))
-        prev = quad
         tail = None if spec.tail_bound is None else 2.0 * mag_bound * spec.tail_bound(n)
-        if monitor.update(delta, tail):
+        if monitor.step(quad, tail):
             break
     else:
-        raise NoConvergenceError(
-            f"limit sequences not stable after {max_n} terms", last_delta=delta
-        )
+        raise monitor.exhausted(f"limit sequences not stable after {max_n} terms")
     det_product = (b_val - a_val) * product
-    return DirectH(MobiusMap(*quad), det_product, stream.n, delta)
+    return DirectH(MobiusMap(*quad), det_product, stream.n, monitor.last_delta)
 
 
 def det_product(spec: EllipticCFSpec, tol: float = 1e-12, max_n: int = 100_000) -> complex:
@@ -329,7 +318,7 @@ def det_product(spec: EllipticCFSpec, tol: float = 1e-12, max_n: int = 100_000) 
         if monitor.update(abs(qn)):
             break
     else:
-        raise NoConvergenceError(f"determinant product not stable after {max_n} factors")
+        raise monitor.exhausted(f"determinant product not stable after {max_n} factors")
     return (spec.beta.value - spec.alpha.value) * product
 
 
@@ -368,13 +357,9 @@ def compute_h_via_modifications(
         ("zero", lambda n: -alpha.value),
         ("one", lambda n: tail_omega(alpha, beta, n + 1)),
     ):
-        result = _cf.modified_value(fraction, w, tol, max_n)
-        if not result.converged:
-            raise NoConvergenceError(
-                f"modified fraction at {label} not stable after {max_n} terms",
-                last_delta=result.last_delta,
-            )
-        value = result.value
+        value = _cf.modified_value(fraction, w, tol, max_n).limit(
+            NoConvergenceError, f"modified fraction at {label} not stable after {max_n} terms"
+        )
         # A modified fraction tending to infinity stabilises (chordally) on
         # huge floats; snap those onto the sphere's point at infinity so the
         # three-point assembly picks the right branch.
@@ -481,9 +466,11 @@ def residue_limits(
         return stream.num * scale, stream.den * scale
 
     block: list[tuple[complex, complex]] = [snapshot()]  # index 0 holds P_0, Q_0
-    prev_block: list[tuple[complex, complex]] | None = None
-    monitor = _cf.Monitor(tol, _cf.BLOCK_WINDOW)
-    delta = math.inf
+    monitor = _cf.Monitor(
+        tol,
+        _cf.BLOCK_WINDOW,
+        lambda new, old: max(max(abs(x - u), abs(y - v)) for (x, y), (u, v) in zip(new, old)),
+    )
     mag_bound = 1.0
     for k in range(20_000):
         while len(block) < m:
@@ -491,26 +478,18 @@ def residue_limits(
             product *= 1.0 - complex(spec.q(stream.n)) / ab
             block.append(snapshot())
         mag_bound = max(mag_bound, max(abs(v) for pq in block for v in pq))
-        if prev_block is not None:
-            delta = max(
-                max(abs(x - u), abs(y - v))
-                for (x, y), (u, v) in zip(block, prev_block)
-            )
-        prev_block = block
         tail = None
         if spec.tail_bound is not None and k >= 1:
             # the first block entry P_{mk} carries the largest tail error
             tail = 2.0 * mag_bound * spec.tail_bound(stream.n - m + 1)
-        if monitor.update(delta, tail):
+        if monitor.step(block, tail):
             break
         block = []
     else:
-        raise NoConvergenceError(
-            "residue blocks not stable after 20000 periods", last_delta=delta
-        )
+        raise monitor.exhausted("residue blocks not stable after 20000 periods")
 
-    A = tuple(pq[0] for pq in prev_block)
-    B = tuple(pq[1] for pq in prev_block)
+    A = tuple(pq[0] for pq in block)
+    B = tuple(pq[1] for pq in block)
     values = tuple(projective(A[i], B[i]) for i in range(m))
 
     av, bv = alpha.value, beta.value

@@ -141,9 +141,7 @@ def cocycle_limit(
     prod_d = eye.copy()
     prod_m = eye.copy()
     prod_m_inv = eye.copy()
-    prev_f: np.ndarray | None = None
-    delta = math.inf
-    monitor = Monitor(tol, STABILITY_WINDOW)
+    monitor = Monitor(tol, STABILITY_WINDOW, lambda f, prev: entry_norm(f - prev))
     nonsingular = True
     f = eye.copy()
     bound_m = 1.0
@@ -183,9 +181,6 @@ def cocycle_limit(
                         raise UnboundedMProductsError(
                             f"inverse product drift {drift:.3g} not recoverable at step {i}"
                         )
-            if prev_f is not None:
-                delta = entry_norm(f - prev_f)
-            prev_f = f
             tail = None
             if pair.tail_bound is not None:
                 t = pair.tail_bound(i)
@@ -194,9 +189,9 @@ def cocycle_limit(
                 tail = d * d * bound_m * bound_m * t
                 if tail < tol:
                     tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * t
-            if monitor.update(delta, tail):
-                return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, delta)
-    raise BudgetExceededError(f"cocycle not stable after {max_terms} factors")
+            if monitor.step(f, tail):
+                return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, monitor.last_delta)
+    raise monitor.exhausted(f"cocycle not stable after {max_terms} factors", BudgetExceededError)
 
 
 @dataclass(frozen=True)
@@ -232,27 +227,22 @@ def residue_matrix_limits(
         raise MNotFiniteOrderError(f"M^{order} differs from the identity")
 
     product = eye.copy()
-    prev_block: np.ndarray | None = None
-    delta = math.inf
-    monitor = Monitor(tol, BLOCK_WINDOW)
+    monitor = Monitor(tol, BLOCK_WINDOW, lambda block, prev: entry_norm(block - prev))
     n = 0
     for k in range(1, 50_001):
         for _ in range(order):
             n += 1
             dn = np.asarray(d_seq(n), dtype=complex).reshape(d, d)
             product = product @ dn if side == "left" else dn @ product
-        if prev_block is not None:
-            delta = entry_norm(product - prev_block)
-        prev_block = product
         tail = None
         if tail_bound is not None and k >= 2:
             tail = d * max(1.0, entry_norm(product)) * order * tail_bound(n)
-        if monitor.update(delta, tail):
+        if monitor.step(product, tail):
             break
     else:
-        raise BudgetExceededError("residue blocks not stable after 50000 periods")
+        raise monitor.exhausted("residue blocks not stable after 50000 periods", BudgetExceededError)
 
-    f = prev_block
+    f = product
     powers = [eye.copy()]
     for _ in range(order - 1):
         powers.append(powers[-1] @ m)
@@ -260,7 +250,7 @@ def residue_matrix_limits(
         limits = tuple(f @ p for p in powers)
     else:
         limits = tuple(p @ f for p in powers)
-    return ResidueMatrixResult(f, limits, k, delta)
+    return ResidueMatrixResult(f, limits, k, monitor.last_delta)
 
 
 def product_predictor(pair: MatrixSequencePair, f: np.ndarray, n: int) -> np.ndarray:

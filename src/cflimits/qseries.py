@@ -151,15 +151,9 @@ def verify_ramanujan_claim(
     fraction = _cf.ContinuedFraction(0.0, terms)
     # The display truncated at 1 + q^n + a has n + 1 fraction terms, so the
     # class n = j (mod 3) corresponds to stream index j + 1 (mod 3).
-    result = _cf.limit_along_residue(
-        fraction, (j + 1) % 3, 3, tol, max_n, w=lambda _: a
+    lhs = _cf.limit_along_residue(fraction, (j + 1) % 3, 3, tol, max_n, w=lambda _: a).limit(
+        SeriesNotConvergedError, f"fraction limit along residue {j} not stable after {max_n} terms"
     )
-    if not result.converged:
-        raise SeriesNotConvergedError(
-            f"fraction limit along residue {j} not stable after {max_n} terms",
-            last_delta=result.last_delta,
-        )
-    lhs = result.value
 
     omega = UnitModulusNumber.root_of_unity(1, 3)
     wv = omega.value
@@ -204,14 +198,9 @@ def rogers_ramanujan_two_limits(
     if not abs(q) > 1.0:
         raise ValueError("|q| must be > 1")
     fraction = _cf.ContinuedFraction(1.0, lambda n: (q**n, 1.0))
-    limits = []
-    for parity in (0, 1):
-        result = _cf.limit_along_residue(fraction, parity, 2, tol, max_n)
-        if not result.converged:
-            raise SeriesNotConvergedError(
-                f"{'even' if parity == 0 else 'odd'} approximants not stable "
-                f"after {max_n} terms",
-                last_delta=result.last_delta,
-            )
-        limits.append(result.value)
-    return limits[0], limits[1]
+    return tuple(
+        _cf.limit_along_residue(fraction, parity, 2, tol, max_n).limit(
+            SeriesNotConvergedError, f"{name} approximants not stable after {max_n} terms"
+        )
+        for parity, name in ((0, "even"), (1, "odd"))
+    )

@@ -16,9 +16,10 @@ the right, matching the matrix-product module's "left" orientation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,15 +110,20 @@ class PoincareRecurrence:
 
     def iterate(self, initial: Sequence[complex], count: int) -> np.ndarray:
         """x_0 .. x_{count-1} by direct iteration (values assumed bounded)."""
-        p = self.order
-        if len(initial) != p:
-            raise ValueError(f"need {p} initial values")
-        out = np.empty(count, dtype=complex)
-        out[: min(p, count)] = [complex(v) for v in initial[: min(p, count)]]
-        for n in range(count - p):
-            row = self.coefficients(n)
-            out[n + p] = sum(complex(row[r]) * out[n + r] for r in range(p))
-        return out
+        if len(initial) != self.order:
+            raise ValueError(f"need {self.order} initial values")
+        values = itertools.islice(_solution(self.coefficients, initial), count)
+        return np.fromiter(values, complex, count)
+
+
+def _solution(coefficients: CoefficientRow, initial: Sequence[complex]) -> Iterator[complex]:
+    """x_0, x_1, ... of x_{n+p} = sum_r a_{n,r} x_{n+r}; row n is read once x_n is out."""
+    state = [complex(v) for v in initial]
+    p = len(state)
+    for n in itertools.count():
+        yield state[0]
+        row = coefficients(n)
+        state = state[1:] + [sum(complex(row[r]) * state[r] for r in range(p))]
 
 
 def _transfer_matrix(row: Sequence[complex], p: int) -> np.ndarray:
@@ -211,33 +217,20 @@ def residue_limits_recurrence(
         raise ValueError("residue limits need exact root-of-unity spectra")
     m = math.lcm(*orders)
     p = rec.order
+    if len(initial) != p:
+        raise ValueError(f"need {p} initial values")
 
-    def x_stream():
-        state = [complex(v) for v in initial]
-        n = 0
-        while True:
-            yield state[0]
-            row = rec.coefficients(n)
-            state = state[1:] + [sum(complex(row[r]) * state[r] for r in range(p))]
-            n += 1
-
-    values = x_stream()
-    prev: list[complex] | None = None
-    delta = math.inf
-    monitor = Monitor(tol, BLOCK_WINDOW)
-    block: list[complex] = []
+    values = _solution(rec.coefficients, initial)
+    monitor = Monitor(tol, BLOCK_WINDOW, lambda new, old: max(abs(x - y) for x, y in zip(new, old)))
     for k in range(50_000):
         block = [next(values) for _ in range(m)]
-        if prev is not None:
-            delta = max(abs(x - y) for x, y in zip(block, prev))
-        prev = block
         tail = None
         if rec.tail_bound is not None and k >= 2:
             tail = 2.0 * max(1.0, max(abs(v) for v in block)) * rec.tail_bound(k * m)
-        if monitor.update(delta, tail):
+        if monitor.step(block, tail):
             break
     else:
-        raise BudgetExceededError("residue blocks not stable after 50000 periods")
+        raise monitor.exhausted("residue blocks not stable after 50000 periods", BudgetExceededError)
     l = tuple(block)
 
     coeffs = asymptotic_coefficients(rec, initial, tol)

@@ -6,7 +6,7 @@ import pytest
 from cflimits import bauermuir as BM
 from cflimits import cf as C
 from cflimits import limitset as L
-from cflimits.errors import RootOfUnityLambdaError
+from cflimits.errors import QEqualsAlphaBetaError, RootOfUnityLambdaError
 from cflimits.limitset import UnitModulusNumber as U
 from cflimits.sphere import chordal_distance
 
@@ -99,6 +99,22 @@ class TestAtLambdaPower:
         )
         with pytest.raises(RootOfUnityLambdaError):
             BM.bm_at_lambda_power(spec, 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_q_equal_to_alpha_beta_rejected(self, k):
+        # q_2 = alpha beta with no other perturbation lies below depth
+        # k' = max(3, k + 3); the other two cases hit depth k' and the coupled
+        # terms beyond it, on a perturbed fraction that reaches them.
+        alpha, beta = U.from_angle(math.sqrt(11)), U.from_angle(math.sqrt(13))
+        ab = (alpha * beta).value
+        kp = max(3, k + 3)
+        for bad, background in ((2, 0.0), (kp, 0.2), (kp + 4, 0.2)):
+            spec = L.EllipticCFSpec(
+                alpha, beta, lambda n: background**n, lambda n: ab if n == bad else background**n
+            )
+            with pytest.raises(QEqualsAlphaBetaError) as info:
+                BM.bm_at_lambda_power(spec, k).evaluate()
+            assert info.value.n == bad
 
     def test_three_values_reassemble_direct_map(self, worked_spec):
         # h(inf), h(0), h(1) from the three transforms pin the same map.

@@ -39,6 +39,12 @@ MP_CONFIG = {
     "perturbation": {"matrix": [[0.1, 0.0], [0.0, 0.1]]},
 }
 
+RS_CONFIG = {
+    "kind": "rs-cf",
+    "theta_limit": [[0.0, 1.0], [-1.0, 4.0 / 3.0]],
+    "perturbation": {"matrix": [[0.0, 0.0], [0.2, 0.1]], "ratio": 0.4},
+}
+
 
 class TestAngleGrammar:
     def test_sqrt_term(self):
@@ -149,6 +155,35 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert field in err
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("rs-cf", dict(RS_CONFIG, r=None), "config.r"),
+            ("limit-set", dict(WORKED_CONFIG, tol=[1]), "config.tol"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "geometric", "ratio": None}), "config.q.ratio"),
+            ("limit-set", dict(WORKED_CONFIG, alpha={"root": [1, 0]}), "config.alpha.root"),
+            ("limit-set", dict(WORKED_CONFIG, alpha={"root": [1, None]}), "config.alpha.root"),
+            ("matrix-product", dict(MP_CONFIG, perturbation={"matrix": [[0.1]]}), "config.perturbation.matrix"),
+            ("rs-cf", dict(RS_CONFIG, perturbation={"matrix": [[0.1]]}), "config.perturbation.matrix"),
+            ("matrix-product", dict(MP_CONFIG, tol="nan"), "tol must be positive"),
+            ("matrix-product", dict(MP_CONFIG, mode="residue", order=4, tol="inf"), "tol must be positive"),
+        ],
+        ids=["rs-r-null", "tol-list", "ratio-null", "root-zero-order", "root-null", "mp-shape", "rs-shape",
+             "mp-tol-nan", "mp-residue-tol-inf"],
+    )
+    def test_bad_scalar_or_shape_is_config_error(self, tmp_path, capsys, command, config, field):
+        path = write_config(tmp_path, "bad.json", config)
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert field in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_flag_is_config_error(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, "g.json", WORKED_CONFIG)
+        assert cli.main(["limit-set", "--config", path, "--tol", tol, "--max-n", "20000"]) == cli.EXIT_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
 
     def test_custom_figure_cf_rejects_run_fields(self, tmp_path, capsys):
         cf = {k: v for k, v in WORKED_CONFIG.items() if k != "kind"}
@@ -533,6 +568,19 @@ class TestModuleEntryPoint:
         proc = self.run("verify", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+    def test_import_loads_no_cli_modules(self, tmp_path):
+        # A fresh ``import cflimits`` is the benchmark's setup time; the CLI,
+        # its SVG writer and their standard-library parsers must stay out of it.
+        probe = "import sys, cflimits; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "cflimits.cli", "cflimits.svgfig", "argparse", "json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_field_exits_2_without_traceback(self, tmp_path):
         path = write_config(tmp_path, "mp.json", {k: v for k, v in MP_CONFIG.items() if k != "m"})

@@ -166,6 +166,18 @@ class TestResidueLimitsRecurrence:
         for j in range(3):
             assert abs(xs[3 * 39 + j] - res.l[j]) < 1e-8
 
+    @pytest.mark.parametrize("initial", [(1.0,), (1.0, 0.5, 0.25)])
+    def test_wrong_number_of_initial_values_rejected_first(self, initial):
+        rows = []
+        rec = R.PoincareRecurrence.build(
+            lambda n: rows.append(n) or (1.0 + 2.0**-n, 0.0),
+            (1.0, 0.0),
+            roots=(U.root_of_unity(0, 1), U.root_of_unity(1, 2)),
+        )
+        with pytest.raises(ValueError, match="need 2 initial values"):
+            R.residue_limits_recurrence(rec, initial)
+        assert rows == []
+
 
 class TestPerronDiagnostic:
     def test_unit_root_power_sequence(self):

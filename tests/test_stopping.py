@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from cflimits import bauermuir, cf, limitset, matprod, recur
+from cflimits import bauermuir, cf, limitset, matprod, qseries, recur
+from cflimits.errors import BudgetExceededError, NoConvergenceError, SeriesNotConvergedError
 from cflimits.limitset import EllipticCFSpec, UnitModulusNumber, geometric_spec
+from cflimits.sphere import chordal_distance
 
 GOLDEN = cf.ContinuedFraction(1.0, lambda n: (1.0, 1.0))
 
@@ -95,10 +97,28 @@ class TestMonitor:
         monitor = cf.Monitor(1e-3, 1)
         assert monitor.update(1e-5, 1e-5) == "window"
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
             cf.Monitor(tol, 4)
+
+    def test_step_measures_distance_from_the_previous_term(self):
+        seen = []
+        monitor = cf.Monitor(1e-3, 2, lambda new, old: seen.append((new, old)) or abs(new - old))
+        assert monitor.step(1.0, None) is None
+        assert monitor.last_delta == math.inf and seen == []
+        assert monitor.step(1.0005, None) is None
+        assert monitor.step(1.0, 1.0) == "window"
+        assert seen == [(1.0005, 1.0), (1.0, 1.0005)]
+        assert monitor.last_term == 1.0 and monitor.last_delta == abs(1.0 - 1.0005)
+
+    def test_exhausted_carries_last_delta(self):
+        monitor = cf.Monitor(1e-3, 4)
+        monitor.update(0.25)
+        err = monitor.exhausted("out of budget", BudgetExceededError)
+        assert isinstance(err, BudgetExceededError) and str(err) == "out of budget"
+        assert err.last_delta == 0.25
+        assert type(cf.Monitor(1e-3, 4).exhausted("none")) is NoConvergenceError
 
 
 class TestSharedPrimitives:
@@ -219,3 +239,92 @@ class TestPinnedStops:
         assert (read + 1) // 6 == blocks
         # The first stop is the block loop's; the cocycle run follows it.
         assert reasons[0] == reason
+
+
+@pytest.fixture
+def deltas(monkeypatch):
+    """Every step size a Monitor is given while the test runs, in order."""
+    seen = []
+    update = cf.Monitor.update
+
+    def spy(self, delta, tail_bound=None):
+        seen.append(delta)
+        return update(self, delta, tail_bound)
+
+    monkeypatch.setattr(cf.Monitor, "update", spy)
+    return seen
+
+
+def _spinning_recurrence():
+    # x_{n+1} = -x_n with limit row (1,): root 1 has order 1, so every block
+    # is one value, and consecutive blocks differ by 2 forever.
+    return recur.PoincareRecurrence.build(
+        lambda n: (-1.0,), (1.0,), roots=(UnitModulusNumber.root_of_unity(0, 1),)
+    )
+
+
+# Non-converging inputs with the smallest budget each loop allows: a step
+# count where it is a parameter, else the smallest period (residue_limits:
+# alpha = 1, beta = -1 with a_n = -1, so P_n, Q_n cycle with period 4 and
+# blocks of 2 alternate in sign; residue_matrix_limits: order 1 with a
+# rotation that never settles).  The last field is the last step where it
+# is known in closed form: |q_n| = 0.5 and |x_n - x_{n-1}| = 2.
+BUDGET_CASES = {
+    "compute_h_direct": (
+        lambda spec: limitset.compute_h_direct(spec, 1e-10, 5),
+        NoConvergenceError, "limit sequences not stable after 5 terms", 5, None,
+    ),
+    "det_product": (
+        lambda spec: limitset.det_product(
+            EllipticCFSpec(spec.alpha, spec.beta, spec.p, lambda n: 0.5), 1e-12, 7
+        ),
+        NoConvergenceError, "determinant product not stable after 7 factors", 7, 0.5,
+    ),
+    "residue_limits": (
+        lambda spec: limitset.residue_limits(EllipticCFSpec(
+            UnitModulusNumber.root_of_unity(0, 1), UnitModulusNumber.root_of_unity(1, 2),
+            lambda n: 0.0, lambda n: -2.0,
+        )),
+        NoConvergenceError, "residue blocks not stable after 20000 periods", 20_000, None,
+    ),
+    "cocycle_limit": (
+        lambda spec: matprod.cocycle_limit(
+            matprod.MatrixSequencePair(2, lambda i: rotation(1.0), lambda i: rotation(0.5)), 1e-10, 6
+        ),
+        BudgetExceededError, "cocycle not stable after 6 factors", 6, None,
+    ),
+    "residue_matrix_limits": (
+        lambda spec: matprod.residue_matrix_limits(lambda n: rotation(0.5), np.eye(2), 1),
+        BudgetExceededError, "residue blocks not stable after 50000 periods", 50_000, None,
+    ),
+    "residue_limits_recurrence": (
+        lambda spec: recur.residue_limits_recurrence(_spinning_recurrence(), [1.0]),
+        BudgetExceededError, "residue blocks not stable after 50000 periods", 50_000, 2.0,
+    ),
+}
+
+
+class TestBudgetErrors:
+    @pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+    def test_budget_error_carries_last_step(self, worked_spec, deltas, name):
+        run, error, message, steps, known = BUDGET_CASES[name]
+        with pytest.raises(error) as info:
+            run(worked_spec)
+        assert type(info.value) is error and str(info.value) == message
+        assert len(deltas) == steps
+        assert math.isfinite(info.value.last_delta)
+        assert info.value.last_delta == deltas[-1]
+        if known is not None:
+            assert info.value.last_delta == known
+
+    def test_rogers_ramanujan_not_converged(self):
+        # max_n = 4 gives the even class n = 0, 2, 4 and the odd class n = 1, 3.
+        with pytest.raises(SeriesNotConvergedError) as info:
+            qseries.rogers_ramanujan_two_limits(2.0, max_n=4)
+        assert str(info.value) == "even approximants not stable after 4 terms"
+        stream = cf.convergents(cf.ContinuedFraction(1.0, lambda n: (2.0**n, 1.0)))
+        values = []
+        for _ in range(4):
+            stream.step()
+            values.append(stream.value())
+        assert info.value.last_delta == chordal_distance(values[3], values[1])
