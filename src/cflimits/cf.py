@@ -133,6 +133,7 @@ class ConvergentStream:
     def __init__(self, cf: ContinuedFraction, renorm_threshold: float):
         self.cf = cf
         self.renorm_threshold = float(renorm_threshold)
+        self._renorm_floor = 1.0 / self.renorm_threshold
         self.n = 0
         self.num_prev, self.den_prev = 1.0 + 0.0j, 0.0 + 0.0j
         self.num, self.den = complex(cf.b0), 1.0 + 0.0j
@@ -140,19 +141,27 @@ class ConvergentStream:
         self._a_prod = 1.0 + 0.0j
         self._a_prod_exp = 0
 
-    def step(self) -> None:
+    def step(self, term: tuple[complex, complex] | None = None) -> None:
+        """Advance by one term: ``term`` is (a_n, b_n) as ``cf.term(n)`` gives it, if at hand.
+
+        ``_renormalize`` runs only when a magnitude leaves [1/threshold,
+        threshold]; inside that range ``renorm_exponent`` would return 0.
+        """
         n = self.n + 1
-        a, b = self.cf.term(n)
+        a, b = self.cf.term(n) if term is None else term
         if a == 0:
             raise ZeroPartialNumeratorError(n)
-        self.num_prev, self.num = self.num, b * self.num + a * self.num_prev
-        self.den_prev, self.den = self.den, b * self.den + a * self.den_prev
+        num, den = self.num, self.den
+        self.num_prev, self.num = num, b * num + a * self.num_prev
+        self.den_prev, self.den = den, b * den + a * self.den_prev
         self.n = n
         self._a_prod *= a
-        self._renormalize()
+        mag = max(abs(self.num), abs(self.den), abs(num), abs(den))
+        low, high = self._renorm_floor, self.renorm_threshold
+        if not (low <= mag <= high and low <= abs(self._a_prod) <= high):
+            self._renormalize(mag)
 
-    def _renormalize(self) -> None:
-        mag = max(abs(self.num), abs(self.den), abs(self.num_prev), abs(self.den_prev))
+    def _renormalize(self, mag: float) -> None:
         k = renorm_exponent(mag, self.renorm_threshold)
         if k:
             s = math.ldexp(1.0, -k)

@@ -93,7 +93,8 @@ def _complex_of(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        parts = {"re": value[0], "im": value[1]}
+        return complex(_number(parts, "re", where, None, float), _number(parts, "im", where, None, float))
     raise ConfigError(f"{where}: expected number or [re, im], got {value!r}")
 
 
@@ -368,11 +369,11 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
         spec = _builtin_fig_spec(which)
     count = _number(config, "count", "config", FIGURE_DEFAULTS[which], int)
     basename = str(config.get("basename", which if which != "custom" else "figure"))
+    report = _ls.limit_set_report(spec, tol=args.tol if args.tol is not None else 1e-10, max_n=max_n)
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # only once the inputs have passed
     svg_path = os.path.join(out, basename + ".svg")
     csv_path = os.path.join(out, basename + ".csv")
-    report = _ls.limit_set_report(spec, tol=args.tol if args.tol is not None else 1e-10, max_n=max_n)
     doc = {"figure": which, "svg": svg_path, "csv": csv_path}
 
     conc = report.concentration

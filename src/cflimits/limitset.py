@@ -206,18 +206,24 @@ def geometric_spec(
     )
 
 
-def build_cf(spec: EllipticCFSpec) -> _cf.ContinuedFraction:
-    """The fraction K((-alpha*beta + q_n)/(alpha + beta + p_n)), b0 = 0."""
+def _terms_with_q(spec: EllipticCFSpec) -> Callable[[int], tuple[complex, tuple[complex, complex]]]:
+    """n -> (q_n, (a_n, b_n)) with (a_n, b_n) the n-th term of ``build_cf(spec)``."""
     ab = (spec.alpha * spec.beta).value
     absum = spec.alpha.value + spec.beta.value
 
-    def terms(n: int) -> tuple[complex, complex]:
+    def terms(n: int) -> tuple[complex, tuple[complex, complex]]:
         qn = complex(spec.q(n))
         if qn == ab:
             raise QEqualsAlphaBetaError(n)
-        return -ab + qn, absum + complex(spec.p(n))
+        return qn, (-ab + qn, absum + complex(spec.p(n)))
 
-    return _cf.ContinuedFraction(0.0, terms)
+    return terms
+
+
+def build_cf(spec: EllipticCFSpec) -> _cf.ContinuedFraction:
+    """The fraction K((-alpha*beta + q_n)/(alpha + beta + p_n)), b0 = 0."""
+    terms = _terms_with_q(spec)
+    return _cf.ContinuedFraction(0.0, lambda n: terms(n)[1])
 
 
 def tail_omega(alpha: UnitModulusNumber, beta: UnitModulusNumber, n: int) -> ExtendedComplex:
@@ -272,30 +278,34 @@ def compute_h_direct(
     a_val, b_val = alpha.value, beta.value
     stream = _cf.convergents(build_cf(spec))
     ab = (alpha * beta).value
+    terms, tail_bound = _terms_with_q(spec), spec.tail_bound
 
-    monitor = _cf.Monitor(
-        tol, _cf.STABILITY_WINDOW, lambda new, old: max(abs(x - y) for x, y in zip(new, old))
-    )
+    monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
     mag_bound = 1.0
     product = 1.0 + 0.0j
-    for _ in range(max_n):
-        stream.step()
-        n = stream.n
-        product *= 1.0 - complex(spec.q(n)) / ab
+    quad = None
+    for n in range(1, max_n + 1):
+        q_val, term = terms(n)
+        stream.step(term)
+        product *= 1.0 - q_val / ab
         scale = math.ldexp(1.0, stream.exponent) if stream.exponent else 1.0
         pn, pm = stream.num * scale, stream.num_prev * scale
         qn, qm = stream.den * scale, stream.den_prev * scale
         ainv = alpha.power_value(-n)
         binv = beta.power_value(-n)
-        quad = (
+        new = (
             ainv * (pn - b_val * pm),
             -binv * (pn - a_val * pm),
             ainv * (qn - b_val * qm),
             -binv * (qn - a_val * qm),
         )
+        delta = math.inf if quad is None else max(
+            abs(new[0] - quad[0]), abs(new[1] - quad[1]), abs(new[2] - quad[2]), abs(new[3] - quad[3])
+        )
+        quad = new
         mag_bound = max(mag_bound, abs(pn), abs(qn))
-        tail = None if spec.tail_bound is None else 2.0 * mag_bound * spec.tail_bound(n)
-        if monitor.step(quad, tail):
+        tail = None if tail_bound is None else 2.0 * mag_bound * tail_bound(n)
+        if monitor.update(delta, tail):
             break
     else:
         raise monitor.exhausted(f"limit sequences not stable after {max_n} terms")

@@ -48,8 +48,8 @@ def _check_side(side: Side) -> None:
 
 # np.linalg.solve / det minus the wrappers' per-call checks: the same LAPACK
 # gufuncs, so the same bits, but a singular ``a`` gives NaN, not LinAlgError.
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _umath_linalg.solve(a, b, signature="DD->D")
+def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _umath_linalg.solve(a, b, signature="DD->D", out=out)
 
 
 def _det(a: np.ndarray) -> complex:
@@ -77,10 +77,14 @@ class MatrixSequencePair:
         _check_side(self.side)
 
     def d(self, i: int) -> np.ndarray:
-        return np.asarray(self.d_seq(i), dtype=complex).reshape(self.dim, self.dim)
+        return self._square(self.d_seq(i))
 
     def m(self, i: int) -> np.ndarray:
-        return np.asarray(self.m_seq(i), dtype=complex).reshape(self.dim, self.dim)
+        return self._square(self.m_seq(i))
+
+    def _square(self, factor) -> np.ndarray:
+        a = np.asarray(factor, dtype=complex)
+        return a if a.shape == (self.dim, self.dim) else a.reshape(self.dim, self.dim)
 
 
 def wedderburn_product(
@@ -134,39 +138,44 @@ def cocycle_limit(
     is nonzero exactly when every D_i seen was nonsingular; a flag reports
     that.  Convergence is a stability window on F plus, when a tail bound
     is available, an explicit tail estimate.  The loop runs under
-    ``np.errstate(invalid="ignore")``, callbacks included.
+    ``np.errstate(invalid="ignore")``, callbacks included.  Each step makes one
+    stacked product for prod D and prod M, and one reduction gives all its norms.
     """
     d = pair.dim
     eye = np.eye(d, dtype=complex)
-    prod_d = eye.copy()
-    prod_m = eye.copy()
-    prod_m_inv = eye.copy()
-    monitor = Monitor(tol, STABILITY_WINDOW, lambda f, prev: entry_norm(f - prev))
+    # Steps alternate between two slabs [D_i, M_i, prod D, prod M, prod M^-1, F, F - F_prev].
+    slabs = np.zeros((2, 7, d, d), dtype=complex)
+    slabs[0, 2:5] = eye
+    views = [(s, s[0:2], s[2:4], s[2], s[3], s[4], s[5], s[6]) for s in slabs]
+    prev_prods, prev_inv, prev_f = slabs[0, 2:4], slabs[0, 4], slabs[0, 5]
+    absolute = np.empty((7, d, d))
+    monitor = Monitor(tol, STABILITY_WINDOW)
     nonsingular = True
-    f = eye.copy()
     bound_m = 1.0
 
     left = pair.side == "left"
     with np.errstate(invalid="ignore"):  # a singular M_i is caught below
         for i in range(1, max_terms + 1):
+            slab, factors, prods, prod_d, prod_m, prod_m_inv, f, f_step = views[i % 2]
             di = pair.d(i)
             mi = pair.m(i)
-            if nonsingular and abs(_det(di)) < 1e-12 * max(1.0, entry_norm(di)) ** d:
-                nonsingular = False
-            prev_inv = prod_m_inv
+            factors[0], factors[1] = di, mi
             if left:
-                prod_d = prod_d @ di
-                prod_m = prod_m @ mi
-                prod_m_inv = _solve(mi, prod_m_inv)
-                f = prod_d @ prod_m_inv
+                np.matmul(prev_prods, factors, out=prods)
+                _solve(mi, prev_inv, out=prod_m_inv)
+                np.matmul(prod_d, prod_m_inv, out=f)
             else:
-                prod_d = di @ prod_d
-                prod_m = mi @ prod_m
-                prod_m_inv = _solve(mi.T, prod_m_inv.T).T
-                f = prod_m_inv @ prod_d
-            norm_m, norm_minv = entry_norm(prod_m), entry_norm(prod_m_inv)
+                np.matmul(factors, prev_prods, out=prods)
+                _solve(mi.T, prev_inv.T, out=prod_m_inv.T)
+                np.matmul(prod_m_inv, prod_d, out=f)
+            np.subtract(f, prev_f, out=f_step)
+            np.absolute(slab, out=absolute)
+            # Each row's maximum is exact, so these are entry_norm's bits (0 when d = 0).
+            norm_d, _, _, norm_m, norm_minv, _, delta = np.maximum.reduce(absolute, (1, 2), initial=0.0).tolist()
+            if nonsingular and abs(_det(di)) < 1e-12 * max(1.0, norm_d) ** d:
+                nonsingular = False
             if norm_minv != norm_minv:  # NaN: LinAlgError for a singular M_i, else the same bits
-                prod_m_inv = np.linalg.solve(mi, prev_inv) if left else np.linalg.solve(mi.T, prev_inv.T).T
+                prod_m_inv[...] = np.linalg.solve(mi, prev_inv) if left else np.linalg.solve(mi.T, prev_inv.T).T
             bound_m = max(bound_m, norm_m, norm_minv)
             if norm_m > pair.norm_ceiling or norm_minv > pair.norm_ceiling:
                 raise UnboundedMProductsError(
@@ -176,7 +185,7 @@ def cocycle_limit(
             if i % INVERSE_CHECK_EVERY == 0:
                 drift = entry_norm(prod_m @ prod_m_inv - eye)
                 if drift > 1e-12:
-                    prod_m_inv = np.linalg.inv(prod_m)
+                    prod_m_inv[...] = np.linalg.inv(prod_m)
                     if entry_norm(prod_m @ prod_m_inv - eye) > 1e-10:
                         raise UnboundedMProductsError(
                             f"inverse product drift {drift:.3g} not recoverable at step {i}"
@@ -189,8 +198,9 @@ def cocycle_limit(
                 tail = d * d * bound_m * bound_m * t
                 if tail < tol:
                     tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * t
-            if monitor.step(f, tail):
-                return CocycleResult(f, i, complex(np.linalg.det(f)), nonsingular, monitor.last_delta)
+            if monitor.update(math.inf if i == 1 else delta, tail):
+                return CocycleResult(f.copy(), i, complex(np.linalg.det(f)), nonsingular, monitor.last_delta)
+            prev_prods, prev_inv, prev_f = prods, prod_m_inv, f
     raise monitor.exhausted(f"cocycle not stable after {max_terms} factors", BudgetExceededError)
 
 

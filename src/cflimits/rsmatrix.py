@@ -28,7 +28,7 @@ from .errors import SingularBError
 Matrix = list[list[complex]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RSSystem:
     """theta-sequence with block split r + s = n and optional limit matrix.
 
@@ -48,7 +48,7 @@ class RSSystem:
         if self.r < 1 or self.s < 1:
             raise ValueError("r and s must be positive")
         if self.theta_limit is not None:
-            self.theta_limit = np.asarray(self.theta_limit, dtype=complex)
+            object.__setattr__(self, "theta_limit", np.asarray(self.theta_limit, dtype=complex))
             if self.theta_limit.shape != (self.n, self.n):
                 raise ValueError("theta_limit has the wrong shape")
             eigvals, eigvecs = np.linalg.eig(self.theta_limit)

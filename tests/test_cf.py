@@ -104,6 +104,59 @@ class TestConvergents:
             assert stream.determinant_residual() < 1e-10
 
 
+def hex_pair(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+class TestRenormalizationBits:
+    """Streams driven through renormalizations, pinned bit for bit.
+
+    Golden: |P_n| passes 1e150 near n = 740, so the pairs are scaled down
+    while prod a_k = 1 never is.  Shrinking: P_n, Q_n and prod a_k all
+    fall under 1e-150 and are scaled up, repeatedly.
+    """
+
+    RECORDED = {
+        "golden": (
+            lambda: C.ContinuedFraction(1.0, lambda n: (1.0, 1.0)), 800, 499, 0,
+            (("0x1.89ba08049c232p+56", "0x0.0p+0"), ("0x1.e6ac464194b62p+55", "0x0.0p+0"),
+             ("0x1.e6ac464194b62p+55", "0x0.0p+0"), ("0x1.2cc7c9c7a3903p+55", "0x0.0p+0")),
+            "0x0.0p+0",
+        ),
+        "shrinking": (
+            lambda: C.ContinuedFraction(0.5j, lambda n: (1e-4 * (1 + 1j), 0.01 - 0.003j)),
+            120, -501, -1496,
+            (("-0x1.0d5ded6f351e6p-209", "-0x1.c0cceaac58b00p-209"),
+             ("-0x1.bfab556682abcp-208", "0x1.04b809833da22p-208"),
+             ("-0x1.2dbcc6a4b6b8ep-203", "-0x1.7e044bb6c7d46p-203"),
+             ("-0x1.7dffee296b71ep-202", "0x1.25a040397b57fp-202")),
+            "0x1.0a19a506e532ap-54",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_matches_recorded_bits(self, name):
+        make, steps, exponent, a_prod_exp, pairs, residual = self.RECORDED[name]
+        stream = C.convergents(make())
+        for _ in range(steps):
+            stream.step()
+        assert (stream.exponent, stream._a_prod_exp) == (exponent, a_prod_exp)
+        stored = (stream.num, stream.den, stream.num_prev, stream.den_prev)
+        assert tuple(hex_pair(z) for z in stored) == pairs
+        assert stream.determinant_residual().hex() == residual
+
+    def test_precomputed_term_matches_generated_one(self):
+        fraction = self.RECORDED["shrinking"][0]()
+        s1, s2 = C.convergents(fraction), C.convergents(fraction)
+        for n in range(1, 121):
+            s1.step()
+            s2.step(fraction.term(n))
+        assert (s1.exponent, s1._a_prod_exp) == (s2.exponent, s2._a_prod_exp)
+        assert [hex_pair(z) for z in (s1.num, s1.den, s1.num_prev, s1.den_prev)] == [
+            hex_pair(z) for z in (s2.num, s2.den, s2.num_prev, s2.den_prev)
+        ]
+
+
 class TestValue:
     def test_infinity_when_denominator_vanishes(self):
         stream = C.convergents(C.ContinuedFraction(1.0, lambda n: (-1.0, 1.0)))

@@ -168,9 +168,12 @@ class TestConfigValidation:
             ("rs-cf", dict(RS_CONFIG, perturbation={"matrix": [[0.1]]}), "config.perturbation.matrix"),
             ("matrix-product", dict(MP_CONFIG, tol="nan"), "tol must be positive"),
             ("matrix-product", dict(MP_CONFIG, mode="residue", order=4, tol="inf"), "tol must be positive"),
+            ("limit-set", dict(WORKED_CONFIG, p={"type": "geometric", "coefficient": [None, 0], "ratio": 0.3}),
+             "config.p.coefficient.re: expected float, got None"),
+            ("matrix-product", dict(MP_CONFIG, m=[[0.0, [1.0, None]], [1.0, 0.0]]), "config.m.im"),
         ],
         ids=["rs-r-null", "tol-list", "ratio-null", "root-zero-order", "root-null", "mp-shape", "rs-shape",
-             "mp-tol-nan", "mp-residue-tol-inf"],
+             "mp-tol-nan", "mp-residue-tol-inf", "coefficient-re-null", "matrix-entry-im-null"],
     )
     def test_bad_scalar_or_shape_is_config_error(self, tmp_path, capsys, command, config, field):
         path = write_config(tmp_path, "bad.json", config)
@@ -184,6 +187,14 @@ class TestConfigValidation:
         path = write_config(tmp_path, "g.json", WORKED_CONFIG)
         assert cli.main(["limit-set", "--config", path, "--tol", tol, "--max-n", "20000"]) == cli.EXIT_CONFIG
         assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_rejected_figure_tol_leaves_no_out_directory(self, tmp_path, capsys, tol):
+        figure = write_config(tmp_path, "f3.json", {"kind": "figure", "which": "fig3"})
+        out = tmp_path / "o"
+        assert cli.main(["figure", "--config", figure, "--out", str(out), "--tol", tol]) == cli.EXIT_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_figure_cf_rejects_run_fields(self, tmp_path, capsys):
         cf = {k: v for k, v in WORKED_CONFIG.items() if k != "kind"}

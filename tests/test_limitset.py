@@ -226,6 +226,54 @@ class TestComputeHDirect:
         direct = L.compute_h_direct(worked_spec, 1e-12, 5000)
         assert abs(direct.h.det / direct.det_product - 1.0) < 1e-6
 
+    @staticmethod
+    def exact_root_spec(q=lambda n: 0.2**n * 1j):
+        return L.EllipticCFSpec(
+            U.root_of_unity(1, 5), U.root_of_unity(3, 7), p=lambda n: 0.3**n, q=q, tail_bound=None
+        )
+
+    def test_exact_roots_match_recorded_bits(self):
+        direct = L.compute_h_direct(self.exact_root_spec(), 1e-12)
+        assert direct.n_terms == 39
+        got = [hex_pair(c) for c in (direct.h.a, direct.h.b, direct.h.c, direct.h.d)]
+        assert got == [
+            ("0x1.227cb9e3bdabcp+0", "-0x1.0dc12b0371dbfp-1"),
+            ("0x1.a2464466b7e41p-3", "0x1.f724dcc675e65p-1"),
+            ("0x1.4205d0d9c6f2bp+0", "-0x1.b15168641cc3ep-2"),
+            ("-0x1.2c3f667edf3c9p-1", "0x1.d9d49e4e27420p-8"),
+        ]
+        assert hex_pair(direct.det_product) == ("-0x1.5598cfee5bcc8p+0", "-0x1.aa4404362ab4ep-1")
+        assert direct.last_delta.hex() == "0x1.6a09e667f3bcdp-52"
+
+    def test_q_equal_to_alpha_beta_raises_at_its_step(self):
+        ab = (U.root_of_unity(1, 5) * U.root_of_unity(3, 7)).value
+        spec = self.exact_root_spec(q=lambda n: ab if n == 7 else 0.2**n)
+        with pytest.raises(QEqualsAlphaBetaError) as info:
+            L.compute_h_direct(spec, 1e-12)
+        assert info.value.n == 7
+
+    def test_each_perturbation_evaluated_once_per_step(self):
+        calls = {"p": 0, "q": 0}
+
+        def counted(name, fn):
+            def wrapped(n):
+                calls[name] += 1
+                return fn(n)
+
+            return wrapped
+
+        spec = inverse_square_spec()
+        spec = L.EllipticCFSpec(
+            spec.alpha, spec.beta, counted("p", spec.p), counted("q", spec.q), spec.tail_bound
+        )
+        n_terms = L.compute_h_direct(spec, 1e-6).n_terms
+        assert n_terms >= 1000
+        assert calls == {"p": n_terms, "q": n_terms}
+
+
+def hex_pair(z):
+    return (z.real.hex(), z.imag.hex())
+
 
 def inverse_square_spec(w=0.5):
     return L.EllipticCFSpec(

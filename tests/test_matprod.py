@@ -243,8 +243,11 @@ class TestCocycleLimit:
             geometric_tail(0.2, 0.5),
             norm_ceiling=1e4,
         )
-        with pytest.raises(UnboundedMProductsError):
+        with pytest.raises(UnboundedMProductsError) as info:
             MP.cocycle_limit(pair, 1e-12)
+        assert str(info.value) == (
+            "comparison product norm 1.64e+04 crossed the ceiling 1e+04 at step 14"
+        )
 
     def test_finite_order_reproduces_residue_limits(self):
         m = rotation(2.0 * math.pi / 3.0)
@@ -345,6 +348,9 @@ class TestGufuncCalls:
                 b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 for x, y in ((a, b), (a.T, b), (a, b.T), (a.T, b.T)):
                     assert as_bytes(MP._solve(x, y)) == as_bytes(np.linalg.solve(x, y))
+                    out = np.empty((dim, dim), dtype=complex)
+                    MP._solve(x, y, out=out.T)
+                    assert as_bytes(out.T.copy()) == as_bytes(np.linalg.solve(x, y))
                     assert as_bytes(MP._det(x)) == as_bytes(np.linalg.det(x))
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -439,3 +445,67 @@ def test_cocycle_matches_recorded_bits(side, tail, singular):
     assert (res.det_f.real.hex(), res.det_f.imag.hex()) == det_f
     assert res.d_all_nonsingular is nonsingular
     assert res.last_delta.hex() == delta
+
+
+# M = S R(0.7) S^-1 with S = [[1, 8], [0, 1]]: the incrementally solved inverse
+# drifts past 1e-12 by step 64, so every check (64, 128, 192) re-inverts.
+DRIFTING_COCYCLES = {
+    "left": ("a369cd753341e734a365c21868a7b3b3797b67813fa1e6298d721be440ea22ac", 194,
+        ("0x1.f7faaa0dc9e7ap-1", "0x1.0b9915a31ec69p-7"), "0x1.8aca201e4f506p-39"),
+    "right": ("34dbeb2fa0838eeb61768930db302184a5e6a62eba94dc623b07d4f1226bc16e", 194,
+        ("0x1.f7faaa0dca2edp-1", "0x1.0b9915a31f330p-7"), "0x1.95b26bd46c763p-39"),
+}
+
+
+@pytest.mark.parametrize("side", sorted(DRIFTING_COCYCLES))
+def test_inverse_drift_reinversion_matches_recorded_bits(side, monkeypatch):
+    s = np.array([[1.0, 8.0], [0.0, 1.0]], dtype=complex)
+    m = s @ rotation(0.7) @ np.linalg.inv(s)
+    inv = np.linalg.inv
+    calls = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    pair = MP.MatrixSequencePair(2, lambda i: m + E * (1e-4 * 0.9**i), lambda i: m, side=side)
+    res = MP.cocycle_limit(pair, 1e-9)
+    f_sha, n, det_f, delta = DRIFTING_COCYCLES[side]
+    assert len(calls) == 3
+    assert hashlib.sha256(res.f.tobytes()).hexdigest() == f_sha
+    assert res.n_terms == n
+    assert (res.det_f.real.hex(), res.det_f.imag.hex()) == det_f
+    assert res.last_delta.hex() == delta
+
+
+class TestCocycleSteps:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("step", [1, 64, 65])
+    def test_singular_comparison_factor(self, side, step):
+        m = rotation(0.7)
+        formed = {"d": 0, "m": 0}
+
+        def d_seq(i):
+            formed["d"] += 1
+            return m + E / (i * i)
+
+        def m_seq(i):
+            formed["m"] += 1
+            return np.zeros((2, 2)) if i == step else m
+
+        pair = MP.MatrixSequencePair(2, d_seq, m_seq, side=side)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            MP.cocycle_limit(pair, 1e-12)
+        assert formed == {"d": step, "m": step}
+
+    def test_entry_norm_calls_do_not_grow_per_step(self, monkeypatch):
+        norm = MP.entry_norm
+        calls = 0
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return norm(a)
+
+        monkeypatch.setattr(MP, "entry_norm", counting)
+        m = rotation(0.7)
+        pair = MP.MatrixSequencePair(2, lambda i: m + E / (i * i), lambda i: m)
+        res = MP.cocycle_limit(pair, 5e-7)
+        assert res.n_terms >= 1000
+        assert calls <= res.n_terms // MP.INVERSE_CHECK_EVERY + 2

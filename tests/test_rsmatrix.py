@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,11 @@ class TestAsymptotics:
                 1, 1, lambda k: np.eye(2, dtype=complex),
                 np.diag([2.0, 1.0]).astype(complex),
             )
+
+    def test_system_is_frozen(self):
+        theta = np.array([[0.0, 1.0], [-1.0, 4.0 / 3.0]])
+        system = RS.RSSystem(1, 1, lambda k: theta, theta.tolist())
+        assert system.theta_limit.dtype == complex  # normalized by the constructor
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.theta_limit = 2 * np.eye(2)
+        assert np.array_equal(system.theta_limit, theta)
