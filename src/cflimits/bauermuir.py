@@ -94,10 +94,6 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
     if lam.is_exact_root:
         raise RootOfUnityLambdaError("alpha/beta is a root of unity")
     alpha, beta = spec.alpha, spec.beta
-    av, bv = alpha.value, beta.value
-    ab = (alpha * beta).value
-    absum = av + bv
-    p, q = spec.p, spec.q
     original = build_cf(spec).terms
     kp = max(3, k + 3)
 
@@ -107,8 +103,11 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
             raise RootOfUnityLambdaError(f"tail value at shifted index {j - k} is infinite")
         return value.z
 
-    def e(n: int) -> complex:
-        return -ab + complex(q(n)) - w(n - 1) * (absum + complex(p(n)) + w(n))
+    def e(n: int) -> tuple[complex, complex]:
+        """(E_n, alpha + beta + p_n + w_n), both built from the original (a_n, b_n)."""
+        a, b = original(n)
+        den = b + w(n)
+        return a - w(n - 1) * den, den
 
     def terms(n: int) -> tuple[complex, complex]:
         if n < kp:
@@ -117,14 +116,13 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
             a, b = original(n)
             return a, b + w(n)
         if n == kp + 1:
-            return e(n), absum + complex(p(n)) + w(n)
-        inner_den = e(n - 1)
+            return e(n)
+        inner_den = e(n - 1)[0]
         if inner_den == 0:
             raise DegenerateTermError(n)
-        inner = e(n) / inner_den
-        num = original(n - 1)[0] * inner
-        den = absum + complex(p(n)) + w(n) - w(n - 2) * inner
-        return num, den
+        e_n, den = e(n)
+        inner = e_n / inner_den
+        return original(n - 1)[0] * inner, den - w(n - 2) * inner
 
     return BMTransformResult(_cf.ContinuedFraction(0.0, terms), "lambda-power", k)
 

@@ -6,18 +6,20 @@ three-term recurrence
     P_n = b_n P_{n-1} + a_n P_{n-2},    Q_n = b_n Q_{n-1} + a_n Q_{n-2},
 
 seeded with P_{-1} = 1, Q_{-1} = 0, P_0 = b0, Q_0 = 1, so the approximant
-f_n = P_n/Q_n includes the terms through (a_n, b_n).  Whenever a component
-grows past a threshold both pairs are rescaled by a power of two (exact in
-binary floating point) and the exponent is recorded; the value P_n/Q_n is
-untouched by this.
+f_n = P_n/Q_n includes the terms through (a_n, b_n).  Whenever the largest
+component leaves [1/threshold, threshold] both pairs are rescaled by a power
+of two (exact in binary floating point) and the exponent is recorded; the
+value P_n/Q_n is untouched by this, and ``ConvergentStream.unscaled`` is the
+one place that undoes the exponent.
 
 Convergence in the extended plane is judged in the chordal metric: a mere
 pair of close consecutive approximants is easily faked by a slowly
 rotating unit eigenvalue ratio, so instead we require a stability window
 of consecutive small steps.  That criterion is a heuristic, not a proof.
 ``Monitor`` is the one place that counts such windows for every limit
-sequence of the package, ``renorm_exponent`` the one power-of-two
-renormalizer, and ``geometric_tail`` the one geometric tail bound.
+sequence of the package, ``checked_tol`` the one check of a tolerance,
+``renorm_exponent`` the one power-of-two renormalizer, and
+``geometric_tail`` the one geometric tail bound.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ class Monitor:
     __slots__ = ("tol", "window", "distance", "stable", "last_delta", "last_term")
 
     def __init__(self, tol: float, window: int, distance: Callable[[Any, Any], float] | None = None):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {tol!r}")
-        self.tol = tol
+        self.tol = checked_tol(tol)
         self.window = window
         self.distance = distance
         self.stable = 0
@@ -81,6 +81,13 @@ class Monitor:
     def exhausted(self, message: str, error=NoConvergenceError) -> NoConvergenceError:
         """The budget error to raise, carrying the last step size."""
         return error(message, last_delta=self.last_delta)
+
+
+def checked_tol(tol: float) -> float:
+    """``tol`` when it is positive and finite; ValueError before any work otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 def renorm_exponent(mag: float, threshold: float) -> int:
@@ -120,14 +127,9 @@ class ConvergentStream:
     """Iterates the convergent recurrence of a continued fraction.
 
     Attributes ``num``/``den`` hold the current stored pair and
-    ``num_prev``/``den_prev`` the previous one; true convergents are the
-    stored values times 2**exponent.  A running product of the partial
-    numerators is carried along (with its own power-of-two exponent) so the
-    determinant identity
-
-        P_n Q_{n-1} - P_{n-1} Q_n = (-1)^(n-1) * prod_{k<=n} a_k
-
-    is checkable at every step.
+    ``num_prev``/``den_prev`` the previous one.  The true convergents are
+    the stored values times 2**exponent; ``unscaled`` returns them.  A step
+    advances and, when needed, rescales these four values and nothing else.
     """
 
     def __init__(self, cf: ContinuedFraction, renorm_threshold: float):
@@ -138,14 +140,11 @@ class ConvergentStream:
         self.num_prev, self.den_prev = 1.0 + 0.0j, 0.0 + 0.0j
         self.num, self.den = complex(cf.b0), 1.0 + 0.0j
         self.exponent = 0
-        self._a_prod = 1.0 + 0.0j
-        self._a_prod_exp = 0
 
     def step(self, term: tuple[complex, complex] | None = None) -> None:
         """Advance by one term: ``term`` is (a_n, b_n) as ``cf.term(n)`` gives it, if at hand.
 
-        ``_renormalize`` runs only when a magnitude leaves [1/threshold,
-        threshold]; inside that range ``renorm_exponent`` would return 0.
+        The pairs are rescaled once their largest magnitude leaves [1/threshold, threshold].
         """
         n = self.n + 1
         a, b = self.cf.term(n) if term is None else term
@@ -155,25 +154,21 @@ class ConvergentStream:
         self.num_prev, self.num = num, b * num + a * self.num_prev
         self.den_prev, self.den = den, b * den + a * self.den_prev
         self.n = n
-        self._a_prod *= a
         mag = max(abs(self.num), abs(self.den), abs(num), abs(den))
-        low, high = self._renorm_floor, self.renorm_threshold
-        if not (low <= mag <= high and low <= abs(self._a_prod) <= high):
-            self._renormalize(mag)
+        if not self._renorm_floor <= mag <= self.renorm_threshold:
+            k = renorm_exponent(mag, self.renorm_threshold)  # 0 for a zero or NaN magnitude
+            if k:
+                s = math.ldexp(1.0, -k)
+                self.num *= s
+                self.den *= s
+                self.num_prev *= s
+                self.den_prev *= s
+                self.exponent += k
 
-    def _renormalize(self, mag: float) -> None:
-        k = renorm_exponent(mag, self.renorm_threshold)
-        if k:
-            s = math.ldexp(1.0, -k)
-            self.num *= s
-            self.den *= s
-            self.num_prev *= s
-            self.den_prev *= s
-            self.exponent += k
-        k = renorm_exponent(abs(self._a_prod), self.renorm_threshold)
-        if k:
-            self._a_prod *= math.ldexp(1.0, -k)
-            self._a_prod_exp += k
+    def unscaled(self) -> tuple[complex, complex, complex, complex]:
+        """(P_n, P_{n-1}, Q_n, Q_{n-1}) with the power-of-two exponent undone."""
+        scale = math.ldexp(1.0, self.exponent) if self.exponent else 1.0
+        return self.num * scale, self.num_prev * scale, self.den * scale, self.den_prev * scale
 
     def value(self) -> ExtendedComplex:
         """P_n / Q_n on the sphere; invariant under renormalization."""
@@ -186,39 +181,6 @@ class ConvergentStream:
             return projective(self.num_prev, self.den_prev)
         w = omega.z
         return projective(self.num + w * self.num_prev, self.den + w * self.den_prev)
-
-    def determinant_residual(self) -> float:
-        """Deviation from the determinant identity, condition-aware.
-
-        Returns |P_n Q_{n-1} - P_{n-1} Q_n - (-1)^(n-1) prod a_k| divided by
-        the largest magnitude entering the cancellation, at the stored
-        scale.  When convergents stay O(1) (the elliptic-type regime) this
-        is the plain relative error; for exponentially growing convergents
-        it measures drift relative to what double precision can resolve.
-        """
-        lhs = self.num * self.den_prev
-        rhs = self.num_prev * self.den
-        det = lhs - rhs
-        target = self._a_prod if self.n % 2 == 1 else -self._a_prod
-        # Align the product onto the stored scale of the convergent pairs.
-        shift = self._a_prod_exp - 2 * self.exponent
-        try:
-            aligned = complex(
-                math.ldexp(target.real, shift), math.ldexp(target.imag, shift)
-            )
-        except OverflowError:
-            aligned = complex(math.inf, 0.0)
-        if not (math.isfinite(aligned.real) and math.isfinite(aligned.imag)):
-            # The product dwarfs the representable determinant: compare in
-            # the product's scale instead.
-            det_aligned = complex(
-                math.ldexp(det.real, -shift), math.ldexp(det.imag, -shift)
-            )
-            return abs(det_aligned - target) / abs(target)
-        scale = max(abs(lhs), abs(rhs), abs(aligned))
-        if scale == 0.0:
-            return math.inf
-        return abs(det - aligned) / scale
 
 
 def convergents(cf: ContinuedFraction, renorm_threshold: float = RENORM_THRESHOLD) -> ConvergentStream:
@@ -297,7 +259,6 @@ def modified_value(
     w: Callable[[int], complex | ExtendedComplex],
     tol: float,
     max_n: int,
-    window: int = STABILITY_WINDOW,
 ) -> EvalResult:
     """Limit of approximants with the tail denominator perturbed by w(n).
 
@@ -312,7 +273,7 @@ def modified_value(
             stream.step()
             yield stream.n, stream.modified(w(stream.n))
 
-    return _settle(samples(), tol, window)
+    return _settle(samples(), tol, STABILITY_WINDOW)
 
 
 def limit_along_residue(
@@ -324,6 +285,8 @@ def limit_along_residue(
     w: Callable[[int], complex | ExtendedComplex] | None = None,
 ) -> EvalResult:
     """Limit of (optionally modified) approximants along n = residue (mod m)."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be at least 1, got {modulus!r}")
 
     def samples():
         stream = convergents(cf)

@@ -288,9 +288,7 @@ def compute_h_direct(
         q_val, term = terms(n)
         stream.step(term)
         product *= 1.0 - q_val / ab
-        scale = math.ldexp(1.0, stream.exponent) if stream.exponent else 1.0
-        pn, pm = stream.num * scale, stream.num_prev * scale
-        qn, qm = stream.den * scale, stream.den_prev * scale
+        pn, pm, qn, qm = stream.unscaled()
         ainv = alpha.power_value(-n)
         binv = beta.power_value(-n)
         new = (
@@ -444,11 +442,7 @@ class ResidueLimitsResult:
     periodicity_residual: float
 
 
-def residue_limits(
-    spec: EllipticCFSpec,
-    tol: float = 1e-11,
-    distinct_tol: float = 1e-6,
-) -> ResidueLimitsResult:
+def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsResult:
     """Measure A_i = lim P_{mk+i}, B_i = lim Q_{mk+i} for root-of-unity data.
 
     Requires alpha and beta to be exact roots of unity; m is the least
@@ -469,13 +463,9 @@ def residue_limits(
     ab_unit = alpha * beta
     ab = ab_unit.value
     stream = _cf.convergents(build_cf(spec))
+    terms = _terms_with_q(spec)
     product = 1.0 + 0.0j
-
-    def snapshot() -> tuple[complex, complex]:
-        scale = math.ldexp(1.0, stream.exponent) if stream.exponent else 1.0
-        return stream.num * scale, stream.den * scale
-
-    block: list[tuple[complex, complex]] = [snapshot()]  # index 0 holds P_0, Q_0
+    block: list[tuple[complex, complex]] = [stream.unscaled()[::2]]  # index 0 holds P_0, Q_0
     monitor = _cf.Monitor(
         tol,
         _cf.BLOCK_WINDOW,
@@ -484,9 +474,10 @@ def residue_limits(
     mag_bound = 1.0
     for k in range(20_000):
         while len(block) < m:
-            stream.step()
-            product *= 1.0 - complex(spec.q(stream.n)) / ab
-            block.append(snapshot())
+            q_val, term = terms(stream.n + 1)
+            stream.step(term)
+            product *= 1.0 - q_val / ab
+            block.append(stream.unscaled()[::2])  # (P_n, Q_n)
         mag_bound = max(mag_bound, max(abs(v) for pq in block for v in pq))
         tail = None
         if spec.tail_bound is not None and k >= 1:
@@ -525,7 +516,7 @@ def residue_limits(
         A=A,
         B=B,
         values=values,
-        distinct_values=distinct_values(values, distinct_tol),
+        distinct_values=distinct_values(values, DISTINCT_TOL),
         product=product,
         det_product=(bv - av) * product,
         n_terms=stream.n,
@@ -535,6 +526,8 @@ def residue_limits(
     )
 
 
+#: Chordal distance under which two residue-class limits count as one value.
+DISTINCT_TOL = 1e-6
 # Array distances within this relative margin of the distinct-value
 # tolerance are recomputed by the scalar metric, which decides them.
 BORDER_RTOL = 1e-12

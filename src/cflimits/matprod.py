@@ -102,6 +102,8 @@ def wedderburn_product(
     """
     _check_side(side)
     first = np.asarray(a_seq(1), dtype=complex)
+    if first.ndim != 2 or first.shape[0] != first.shape[1]:
+        raise ValueError(f"the first factor must be a square matrix, got shape {first.shape}")
     d = first.shape[0]
     eye = np.eye(d, dtype=complex)
     product = eye.copy()

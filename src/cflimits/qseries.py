@@ -31,6 +31,7 @@ class QParams:
         object.__setattr__(self, "q", complex(self.q))
         if not abs(self.q) < 1.0:
             raise ValueError(f"|q| must be < 1, got {abs(self.q)}")
+        _cf.checked_tol(self.tol)
 
 
 def qpochhammer(a: complex, q: complex, n: int | None = None, tol: float = 1e-15) -> complex:
@@ -39,6 +40,7 @@ def qpochhammer(a: complex, q: complex, n: int | None = None, tol: float = 1e-15
     The infinite product needs |q| < 1 and stops once the remaining factors
     are within ``tol`` of 1 (bounded through exp of the geometric tail).
     """
+    _cf.checked_tol(tol)
     a = complex(a)
     q = complex(q)
     if n is not None:

@@ -72,15 +72,17 @@ def scatter_svg(
 ) -> int:
     """Scatter plot with an optional predicted circle/line and marker dots.
 
-    The data window is fitted to the geometry overlay and dots if present,
-    else to the points.  Returns the number of points drawn (others fall
-    outside).
+    The data window is fitted to the dots and a circle overlay; a line or
+    no overlay has no extent, so the finite points are fitted as well.
+    Returns the number of points drawn (others fall outside).
     """
     frame = list(dots)
     if isinstance(geometry, Circle):
         c, r = geometry.center, geometry.radius
         frame += [(c.real - r, c.imag - r), (c.real + r, c.imag + r)]
-    xs, ys = zip(*(frame or points or [(0.0, 0.0), (1.0, 1.0)]))
+    else:
+        frame += [(re, im) for re, im in points if math.isfinite(re) and math.isfinite(im)]
+    xs, ys = zip(*(frame or [(0.0, 0.0), (1.0, 1.0)]))
     vp = _Viewport(min(xs), max(xs), min(ys), max(ys))
 
     parts = []

@@ -120,7 +120,7 @@ def test_criterion_3_rank_regression():
             1.0, 1.0 / 7.0,
             1.0, 1.0 / 5.0,
         )
-        res = L.residue_limits(spec, 1e-12, distinct_tol=1e-6)
+        res = L.residue_limits(spec, 1e-12)
         distinct = len(res.distinct_values)
         ok &= distinct == want_rank and res.rank == want_rank
         # determinant identity along consecutive residues

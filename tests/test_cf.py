@@ -98,10 +98,61 @@ class TestConvergents:
 
     def test_determinant_residual_over_long_run(self):
         rng = random.Random(17)
-        stream = C.convergents(random_cf(rng, bounded=True))
-        for _ in range(10_000):
+        fraction = random_cf(rng, bounded=True)
+        stream, product = C.convergents(fraction), NumeratorProduct()
+        for n in range(1, 10_001):
             stream.step()
-            assert stream.determinant_residual() < 1e-10
+            product.times(fraction.term(n)[0])
+            assert determinant_residual(stream, product) < 1e-10
+
+    def test_unscaled_undoes_the_exponent(self):
+        # Power-of-two rescaling is exact, so a stream that renormalized
+        # repeatedly unscales to the pairs of one that never did.
+        rescaled = C.convergents(golden_cf(), renorm_threshold=1e10)
+        plain = C.convergents(golden_cf(), renorm_threshold=1e300)
+        for _ in range(800):
+            rescaled.step()
+            plain.step()
+        assert rescaled.exponent > 0 and plain.exponent == 0
+        assert rescaled.unscaled() == (plain.num, plain.num_prev, plain.den, plain.den_prev)
+
+
+class NumeratorProduct:
+    """Running prod a_k with its own power-of-two exponent, kept beside a stream."""
+
+    def __init__(self):
+        self.value, self.exponent = 1.0 + 0.0j, 0
+
+    def times(self, a: complex) -> None:
+        self.value *= a
+        k = C.renorm_exponent(abs(self.value), C.RENORM_THRESHOLD)
+        if k:
+            self.value *= math.ldexp(1.0, -k)
+            self.exponent += k
+
+
+def determinant_residual(stream, product: NumeratorProduct) -> float:
+    """|P_n Q_{n-1} - P_{n-1} Q_n - (-1)^(n-1) prod a_k| over the cancellation scale.
+
+    Compared at the stream's stored scale; when the product dwarfs what
+    that scale can represent, in the product's scale instead.
+    """
+    lhs = stream.num * stream.den_prev
+    rhs = stream.num_prev * stream.den
+    det = lhs - rhs
+    target = product.value if stream.n % 2 == 1 else -product.value
+    shift = product.exponent - 2 * stream.exponent
+    try:
+        aligned = complex(math.ldexp(target.real, shift), math.ldexp(target.imag, shift))
+    except OverflowError:
+        aligned = complex(math.inf, 0.0)
+    if not (math.isfinite(aligned.real) and math.isfinite(aligned.imag)):
+        det_aligned = complex(math.ldexp(det.real, -shift), math.ldexp(det.imag, -shift))
+        return abs(det_aligned - target) / abs(target)
+    scale = max(abs(lhs), abs(rhs), abs(aligned))
+    if scale == 0.0:
+        return math.inf
+    return abs(det - aligned) / scale
 
 
 def hex_pair(z):
@@ -113,7 +164,8 @@ class TestRenormalizationBits:
 
     Golden: |P_n| passes 1e150 near n = 740, so the pairs are scaled down
     while prod a_k = 1 never is.  Shrinking: P_n, Q_n and prod a_k all
-    fall under 1e-150 and are scaled up, repeatedly.
+    fall under 1e-150 and are scaled up, repeatedly.  The product is kept
+    beside the stream, which carries only its pairs.
     """
 
     RECORDED = {
@@ -137,13 +189,15 @@ class TestRenormalizationBits:
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_matches_recorded_bits(self, name):
         make, steps, exponent, a_prod_exp, pairs, residual = self.RECORDED[name]
-        stream = C.convergents(make())
-        for _ in range(steps):
+        fraction = make()
+        stream, product = C.convergents(fraction), NumeratorProduct()
+        for n in range(1, steps + 1):
             stream.step()
-        assert (stream.exponent, stream._a_prod_exp) == (exponent, a_prod_exp)
+            product.times(fraction.term(n)[0])
+        assert (stream.exponent, product.exponent) == (exponent, a_prod_exp)
         stored = (stream.num, stream.den, stream.num_prev, stream.den_prev)
         assert tuple(hex_pair(z) for z in stored) == pairs
-        assert stream.determinant_residual().hex() == residual
+        assert determinant_residual(stream, product).hex() == residual
 
     def test_precomputed_term_matches_generated_one(self):
         fraction = self.RECORDED["shrinking"][0]()
@@ -151,7 +205,7 @@ class TestRenormalizationBits:
         for n in range(1, 121):
             s1.step()
             s2.step(fraction.term(n))
-        assert (s1.exponent, s1._a_prod_exp) == (s2.exponent, s2._a_prod_exp)
+        assert s1.exponent == s2.exponent
         assert [hex_pair(z) for z in (s1.num, s1.den, s1.num_prev, s1.den_prev)] == [
             hex_pair(z) for z in (s2.num, s2.den, s2.num_prev, s2.den_prev)
         ]
@@ -203,6 +257,15 @@ class TestEvaluate:
         assert even.converged and odd.converged
         assert chordal_distance(even.value, odd.value) > 0.1
 
+    @pytest.mark.parametrize("modulus", [0, -2])
+    def test_residue_modulus_must_be_positive(self, modulus):
+        def never_called(n):
+            raise AssertionError("no term may be formed")
+
+        fraction = C.ContinuedFraction(0.0, never_called)
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
+            C.limit_along_residue(fraction, 0, modulus, 1e-10, 100)
+
     def test_terminating_policy(self):
         fraction = C.ContinuedFraction(5.0, lambda n: (0.0 if n == 1 else 1.0, 1.0))
         result = C.evaluate(fraction, 1e-10, 100, on_zero_numerator="terminate")
@@ -232,7 +295,7 @@ class TestModifiedValue:
         # gives the exact value at every depth.
         w = (math.sqrt(5.0) - 1.0) / 2.0  # fixes w = 1/(1+w)
         result = C.modified_value(
-            C.ContinuedFraction(0.0, lambda n: (1.0, 1.0)), lambda n: w, 1e-14, 50, window=4
+            C.ContinuedFraction(0.0, lambda n: (1.0, 1.0)), lambda n: w, 1e-14, 50
         )
         assert result.converged
         assert abs(result.value.z - w) < 1e-14

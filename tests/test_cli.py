@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cflimits import cli
+from cflimits import cli, svgfig
 from cflimits import limitset as L
 from cflimits.errors import ConfigError
 from cflimits.limitset import UnitModulusNumber as U
@@ -359,6 +359,30 @@ class TestFigureCommands:
         assert (out / "mine.svg").exists()
         lines = (out / "mine.csv").read_text().strip().splitlines()
         assert len(lines) == 401
+
+    def test_custom_line_figure_draws_its_points(self, tmp_path, capsys):
+        # |c| = |d|: the limit set is a line, whose overlay has no extent of
+        # its own, so the window must still be fitted to the approximants.
+        config = {
+            "kind": "figure", "which": "custom", "count": 200,
+            "cf": {k: v for k, v in RECORDED_CASES["ls-line"][2].items() if k != "kind"},
+        }
+        path = write_config(tmp_path, "line.json", config)
+        docs, svgs = [], []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert cli.main(["figure", "--config", path, "--out", str(out)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+            svgs.append((out / "figure.svg").read_bytes())
+        assert docs[0]["points"] == 200
+        assert docs[0]["drawn"] > 0
+        assert docs[0]["drawn"] == docs[1]["drawn"]
+        assert svgs[0] == svgs[1]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_window_ignores_non_finite_points(self, tmp_path, bad):
+        points = [(0.0, 0.0), (1.0, 1.0), (bad, 0.5), (0.5, bad)]
+        assert svgfig.scatter_svg(str(tmp_path / "s.svg"), points) == 2
 
 
 class TestVerifyCommand:

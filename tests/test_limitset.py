@@ -501,10 +501,23 @@ class TestResidueLimits:
                     spec = L.geometric_spec(
                         U.root_of_unity(a, m), U.root_of_unity(b, m), cp, 0.25, cq, 0.2
                     )
-                    res = L.residue_limits(spec, 1e-11, distinct_tol=1e-6)
+                    res = L.residue_limits(spec, 1e-11)
                     want = m // math.gcd(b - a, m)
                     assert res.rank == want, (m, a, b)
                     assert len(res.distinct_values) == want, (m, a, b)
+
+    def test_each_q_evaluated_once_per_step(self):
+        calls = []
+        base = L.geometric_spec(U.root_of_unity(1, 8), U.root_of_unity(7, 8), 0.7, 0.3, 0.3j, 0.25)
+
+        def q(n):
+            calls.append(n)
+            return base.q(n)
+
+        spec = L.EllipticCFSpec(base.alpha, base.beta, base.p, q, base.tail_bound)
+        res = L.residue_limits(spec, 1e-12)
+        assert res.n_terms >= 16
+        assert calls == list(range(1, res.n_terms + 1))
 
 
 def greedy_distinct(values, distinct_tol):

@@ -74,6 +74,20 @@ class TestSideValidation:
 
 
 class TestWedderburn:
+    @pytest.mark.parametrize(
+        "factor", [0.5, np.zeros(2), np.zeros((2, 3)), np.zeros((1, 1, 1))], ids=["scalar", "1d", "2x3", "3d"]
+    )
+    def test_first_factor_must_be_square(self, factor):
+        asked = []
+
+        def a_seq(i):
+            asked.append(i)
+            return factor
+
+        with pytest.raises(ValueError, match="square matrix"):
+            MP.wedderburn_product(a_seq, lambda n: 0.0)
+        assert asked == [1]
+
     def test_zero_terms_give_identity(self):
         got = MP.wedderburn_product(
             lambda i: np.zeros((3, 3)), lambda n: 0.0, 1e-14

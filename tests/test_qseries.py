@@ -18,6 +18,16 @@ def test_qparams_requires_contracting_base():
         Q.QParams(-1.2)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bad_tolerance_rejected_before_any_term(tol):
+    # Each used to run its whole 100000-term budget and then report a
+    # series that did not converge.
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        Q.QParams(0.3, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        Q.qpochhammer(0.5, 0.3, tol=tol)
+
+
 class TestQPochhammer:
     def test_empty_product(self):
         assert Q.qpochhammer(2.0 + 1j, 0.5, 0) == 1.0

@@ -68,6 +68,16 @@ class TestApproximants:
             else:
                 assert complex(sk[0, 0]) == value.z  # bit-for-bit
 
+    def test_rescaled_product_keeps_classical_bits(self):
+        # K(1/1): the product's entries pass 1e150 near k = 740 and are
+        # rescaled by a power of two, as the stream's pairs are.
+        system = RS.RSSystem(1, 1, lambda k: np.array([[0.0, 1.0], [1.0, 1.0]]))
+        stream = C.convergents(C.ContinuedFraction(0.0, lambda n: (1.0, 1.0)))
+        for k, sk in RS.rs_approximants(system, 900):
+            stream.step()
+            assert complex(sk[0, 0]) == stream.value().z, k
+        assert stream.exponent > 0
+
     def test_constant_finite_order_is_periodic(self):
         perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
         system = RS.RSSystem(2, 1, lambda k: perm)
