@@ -10,6 +10,7 @@ lambda-power transform is reported, not patched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import cf as _cf
@@ -19,8 +20,11 @@ from .errors import (
     RootOfUnityLambdaError,
     SeriesNotConvergedError,
 )
-from .limitset import EllipticCFSpec, UnitModulusNumber, build_cf, tail_omega
+from .limitset import EllipticCFSpec, UnitModulusNumber, _tail_value, build_cf
 from .sphere import ExtendedComplex, chordal_distance
+
+#: Term n reads indices n - 2 .. n only: terms formed in order form each once.
+TERM_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,20 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
     ab = (alpha * beta).value
     p, q = spec.p, spec.q
 
-    def coupling(n: int) -> complex:
+    @functools.lru_cache(maxsize=TERM_CACHE)
+    def perturbation(n: int) -> tuple[complex, complex, complex]:
+        """(q_n, p_n, L_n), each formed once; L_0 = 1."""
         if n == 0:
-            return 1.0 + 0.0j
-        return complex(q(n)) + bv * complex(p(n))
+            return 0j, 0j, 1.0 + 0.0j
+        qn, pn = complex(q(n)), complex(p(n))
+        return qn, pn, qn + bv * pn
 
     def terms(n: int) -> tuple[complex, complex]:
+        _, p_n, l_n = perturbation(n)
         if n == 1:
-            return coupling(1), av + complex(p(1))
-        num = (complex(q(n - 1)) - ab) * coupling(n) * coupling(n - 2)
-        den = (av + complex(p(n))) * coupling(n - 1) + bv * coupling(n)
-        return num, den
+            return l_n, av + p_n
+        q_back, _, l_back = perturbation(n - 1)
+        return (q_back - ab) * l_n * perturbation(n - 2)[2], (av + p_n) * l_back + bv * l_n
 
     return _cf.ContinuedFraction(-bv, terms)
 
@@ -93,16 +100,18 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
     lam = spec.lam
     if lam.is_exact_root:
         raise RootOfUnityLambdaError("alpha/beta is a root of unity")
-    alpha, beta = spec.alpha, spec.beta
-    original = build_cf(spec).terms
+    bv = spec.beta.value
+    original = functools.lru_cache(maxsize=TERM_CACHE)(build_cf(spec).terms)
     kp = max(3, k + 3)
 
+    @functools.lru_cache(maxsize=TERM_CACHE)
     def w(j: int) -> complex:
-        value = tail_omega(alpha, beta, j - k)
+        value = _tail_value(lam, bv, j - k)
         if value.is_infinity:
             raise RootOfUnityLambdaError(f"tail value at shifted index {j - k} is infinite")
         return value.z
 
+    @functools.lru_cache(maxsize=TERM_CACHE)
     def e(n: int) -> tuple[complex, complex]:
         """(E_n, alpha + beta + p_n + w_n), both built from the original (a_n, b_n)."""
         a, b = original(n)

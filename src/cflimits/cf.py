@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Sequence
 
 from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
 from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
@@ -206,24 +206,32 @@ class EvalResult:
         return self.value
 
 
-def _settle(
-    samples: Iterator[tuple[int, ExtendedComplex | None]], tol: float, window: int
-) -> EvalResult:
-    """Run (n, approximant) samples through a Monitor of their chordal steps.
+class _Settle:
+    """The chordal stopping rule of one approximant sequence, fed a sample at a time.
 
-    A ``None`` approximant means the fraction terminated, so the previous
-    sample is its exact value.
+    ``push(n, approximant)`` is True once ``window`` steps in a row are under
+    ``tol``; a ``None`` approximant means the fraction terminated, so the
+    previous sample is its exact value.  ``outcome()`` is the EvalResult.
     """
-    monitor = Monitor(tol, window)
-    n, prev = 0, None
-    for k, value in samples:
+
+    __slots__ = ("monitor", "n", "prev", "result")
+
+    def __init__(self, tol: float, window: int):
+        self.monitor = Monitor(tol, window)
+        self.n, self.prev, self.result = 0, None, None
+
+    def push(self, n: int, value: ExtendedComplex | None) -> bool:
         if value is None:
-            return EvalResult(True, prev, n, monitor.last_delta)
-        n = k
-        if prev is not None and monitor.update(chordal_distance(value, prev)):
-            return EvalResult(True, value, n, monitor.last_delta)
-        prev = value
-    return EvalResult(False, None, n, monitor.last_delta)
+            self.result = EvalResult(True, self.prev, self.n, self.monitor.last_delta)
+        else:
+            self.n = n
+            if self.prev is not None and self.monitor.update(chordal_distance(value, self.prev)):
+                self.result = EvalResult(True, value, n, self.monitor.last_delta)
+            self.prev = value
+        return self.result is not None
+
+    def outcome(self) -> EvalResult:
+        return self.result or EvalResult(False, None, self.n, self.monitor.last_delta)
 
 
 def evaluate(
@@ -238,20 +246,20 @@ def evaluate(
     "terminate": a zero partial numerator then truncates the fraction and
     the current approximant is returned as its exact value.
     """
-
-    def samples():
-        stream = convergents(cf)
-        yield 0, stream.value()
-        for _ in range(max_n):
-            try:
-                stream.step()
-            except ZeroPartialNumeratorError:
-                if on_zero_numerator != "terminate":
-                    raise
-                yield stream.n, None  # ends _settle
-            yield stream.n, stream.value()
-
-    return _settle(samples(), tol, STABILITY_WINDOW)
+    stream = convergents(cf)
+    settle = _Settle(tol, STABILITY_WINDOW)
+    settle.push(0, stream.value())
+    for _ in range(max_n):
+        try:
+            stream.step()
+        except ZeroPartialNumeratorError:
+            if on_zero_numerator != "terminate":
+                raise
+            settle.push(stream.n, None)
+            break
+        if settle.push(stream.n, stream.value()):
+            break
+    return settle.outcome()
 
 
 def modified_value(
@@ -266,14 +274,29 @@ def modified_value(
     identity (P_n + w P_{n-1}) / (Q_n + w Q_{n-1}).  With w identically 0
     this reproduces ``evaluate`` exactly.
     """
+    return modified_values(cf, (w,), tol, max_n)[0]
 
-    def samples():
-        stream = convergents(cf)
-        for _ in range(max_n):
-            stream.step()
-            yield stream.n, stream.modified(w(stream.n))
 
-    return _settle(samples(), tol, STABILITY_WINDOW)
+def modified_values(
+    cf: ContinuedFraction,
+    modifiers: Sequence[Callable[[int], complex | ExtendedComplex]],
+    tol: float,
+    max_n: int,
+) -> list[EvalResult]:
+    """``modified_value`` for each modifier, all read off one convergent stream.
+
+    Each modifier stops at the n, value and last step of its own run, and
+    the fraction forms max(n) terms, not sum(n).  An error in forming term
+    n is raised at n, where the first of the separate runs would raise it.
+    """
+    stream = convergents(cf)
+    settles = [_Settle(tol, STABILITY_WINDOW) for _ in modifiers]
+    pending = list(zip(settles, modifiers))
+    while pending and stream.n < max_n:
+        stream.step()
+        n = stream.n
+        pending = [(settle, w) for settle, w in pending if not settle.push(n, stream.modified(w(n)))]
+    return [settle.outcome() for settle in settles]
 
 
 def limit_along_residue(
@@ -287,18 +310,16 @@ def limit_along_residue(
     """Limit of (optionally modified) approximants along n = residue (mod m)."""
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus!r}")
-
-    def samples():
-        stream = convergents(cf)
-        current = stream.value if w is None else (lambda: stream.modified(w(stream.n)))
-        if residue % modulus == 0:
-            yield 0, current()
-        for _ in range(max_n):
-            stream.step()
-            if stream.n % modulus == residue % modulus:
-                yield stream.n, current()
-
-    return _settle(samples(), tol, RESIDUE_WINDOW)
+    stream = convergents(cf)
+    settle = _Settle(tol, RESIDUE_WINDOW)
+    current = stream.value if w is None else (lambda: stream.modified(w(stream.n)))
+    if residue % modulus == 0:
+        settle.push(0, current())
+    for _ in range(max_n):
+        stream.step()
+        if stream.n % modulus == residue % modulus and settle.push(stream.n, current()):
+            break
+    return settle.outcome()
 
 
 def equivalence_transform(cf: ContinuedFraction, scale: Callable[[int], complex]) -> ContinuedFraction:

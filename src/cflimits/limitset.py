@@ -20,6 +20,7 @@ beta are themselves roots of unity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +90,9 @@ class UnitModulusNumber:
     def is_exact_root(self) -> bool:
         return self.residual == 0.0
 
-    @property
+    @functools.cached_property
     def value(self) -> complex:
+        """The point itself, computed once per instance."""
         return cmath.rect(1.0, TAU * float(self.turns) + self.residual)
 
     def power(self, n: int) -> "UnitModulusNumber":
@@ -174,8 +176,9 @@ class EllipticCFSpec:
         ) or self.alpha.value == self.beta.value:
             raise EqualAlphaBetaError("alpha and beta coincide")
 
-    @property
+    @functools.cached_property
     def lam(self) -> UnitModulusNumber:
+        """lambda = alpha/beta, computed once per instance."""
         return self.alpha / self.beta
 
     def lambda_order(self) -> LambdaOrder:
@@ -236,13 +239,18 @@ def tail_omega(alpha: UnitModulusNumber, beta: UnitModulusNumber, n: int) -> Ext
     lam = alpha / beta
     if lam.is_one():
         raise EqualAlphaBetaError("alpha and beta coincide")
+    return _tail_value(lam, beta.value, n)
+
+
+def _tail_value(lam: UnitModulusNumber, bv: complex, n: int) -> ExtendedComplex:
+    """``tail_omega(alpha, beta, n)`` from lam = alpha/beta != 1 and bv = beta.value at hand."""
     num = lam.power_value(n) - 1.0
     den = lam.power_value(n - 1) - 1.0
     if num == 0:
         return ExtendedComplex(0.0)
     if den == 0:
         return INFINITY
-    return ExtendedComplex(-beta.value * num / den)
+    return ExtendedComplex(-bv * num / den)
 
 
 @dataclass(frozen=True)
@@ -357,15 +365,13 @@ def compute_h_via_modifications(
     square-root branch with nonnegative real part (ties: nonnegative
     imaginary part) is taken.
     """
-    alpha, beta = spec.alpha, spec.beta
-    fraction = build_cf(spec)
+    lam, bv = spec.lam, spec.beta.value
+    at_infinity, at_zero = ExtendedComplex(-bv), ExtendedComplex(-spec.alpha.value)
+    modifiers = (lambda n: at_infinity, lambda n: at_zero, lambda n: _tail_value(lam, bv, n + 1))
+    results = _cf.modified_values(build_cf(spec), modifiers, tol, max_n)
     limits = []
-    for label, w in (
-        ("infinity", lambda n: -beta.value),
-        ("zero", lambda n: -alpha.value),
-        ("one", lambda n: tail_omega(alpha, beta, n + 1)),
-    ):
-        value = _cf.modified_value(fraction, w, tol, max_n).limit(
+    for label, result in zip(("infinity", "zero", "one"), results):
+        value = result.limit(
             NoConvergenceError, f"modified fraction at {label} not stable after {max_n} terms"
         )
         # A modified fraction tending to infinity stabilises (chordally) on

@@ -102,18 +102,18 @@ def chordal_distance(x, y) -> float:
     """
     x = as_extended(x)
     y = as_extended(y)
-    if x.is_infinity and y.is_infinity:
-        return 0.0
-    if x.is_infinity:
-        return 2.0 / math.hypot(1.0, abs(y.z))
-    if y.is_infinity:
-        return 2.0 / math.hypot(1.0, abs(x.z))
-    if abs(x.z) > INVERT_ABOVE or abs(y.z) > INVERT_ABOVE:
+    xz, yz = x._z, y._z
+    if xz is None:
+        return 0.0 if yz is None else 2.0 / math.hypot(1.0, abs(yz))
+    if yz is None:
+        return 2.0 / math.hypot(1.0, abs(xz))
+    x_abs, y_abs = abs(xz), abs(yz)
+    if x_abs > INVERT_ABOVE or y_abs > INVERT_ABOVE:
         # Not when the other point is tiny: inverting would only swap the two
         # (and recurse forever), and the direct formula cannot overflow there.
-        if not 0.0 < min(abs(x.z), abs(y.z)) < 1.0 / INVERT_ABOVE:
+        if not 0.0 < min(x_abs, y_abs) < 1.0 / INVERT_ABOVE:
             return chordal_distance(x.reciprocal(), y.reciprocal())
-    return 2.0 * abs(x.z - y.z) / (math.hypot(1.0, abs(x.z)) * math.hypot(1.0, abs(y.z)))
+    return 2.0 * abs(xz - yz) / (math.hypot(1.0, x_abs) * math.hypot(1.0, y_abs))
 
 
 def chordal_distances(x: complex, ys: np.ndarray, ys_hypot: np.ndarray) -> np.ndarray:

@@ -132,6 +132,63 @@ class TestAtLambdaPower:
         assert worst < 1e-5
 
 
+class TestRecordedBits:
+    # Recorded when every term re-formed its p, q and tail values.
+    RECORDED = {
+        "infinity": (39, ("0x1.21974bdda0216p+0", "0x1.8bc670d14032bp-1")),
+        "zero": (39, ("0x1.338dbbb167391p+0", "0x1.1ca658ac35d93p-5")),
+        -1: (41, ("-0x1.a60d6016be13ep-2", "-0x1.f26f718dfb45fp-2")),
+        0: (38, ("0x1.6cfcb769c9d40p-3", "0x1.4a56914043e57p-5")),
+        3: (30, ("0x1.9576baf285318p-1", "0x1.397c7b7820869p-2")),
+    }
+
+    @staticmethod
+    def transform(spec, which):
+        if which == "infinity":
+            return BM.bm_at_infinity(spec)
+        if which == "zero":
+            return BM.bm_at_zero(spec)
+        return BM.bm_at_lambda_power(spec, which)
+
+    @pytest.mark.parametrize("which", list(RECORDED))
+    def test_worked_example(self, worked_spec, which):
+        result = self.transform(worked_spec, which).evaluate(1e-12)
+        z = result.value.z
+        assert (result.n, (z.real.hex(), z.imag.hex())) == self.RECORDED[which]
+
+    @pytest.mark.parametrize("which", list(RECORDED))
+    def test_each_perturbation_formed_once_per_term(self, worked_spec, which):
+        calls = {"p": 0, "q": 0}
+
+        def counted(name, fn):
+            def wrapped(n):
+                calls[name] += 1
+                return fn(n)
+
+            return wrapped
+
+        spec = L.EllipticCFSpec(
+            worked_spec.alpha, worked_spec.beta, counted("p", worked_spec.p), counted("q", worked_spec.q)
+        )
+        n = self.transform(spec, which).evaluate(1e-12).n
+        assert n == self.RECORDED[which][0]
+        assert calls["p"] <= n + 1 and calls["q"] <= n + 1
+
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_tail_value_formed_once_per_index(self, worked_spec, k, monkeypatch):
+        indices = []
+        tail_value = BM._tail_value
+
+        def recorded(lam, bv, n):
+            indices.append(n)
+            return tail_value(lam, bv, n)
+
+        monkeypatch.setattr(BM, "_tail_value", recorded)
+        n = BM.bm_at_lambda_power(worked_spec, k).evaluate(1e-12).n
+        assert n == self.RECORDED[k][0]
+        assert len(indices) == len(set(indices)) <= n + 1
+
+
 class TestRbmIdentity:
     @pytest.mark.parametrize(
         "q,angles,bound",

@@ -300,6 +300,24 @@ class TestModifiedValue:
         assert result.converged
         assert abs(result.value.z - w) < 1e-14
 
+    # The fixed point settles at n = 17, the plain and infinite modifications
+    # near n = 35; a budget of 25 leaves two of them unsettled.
+    @pytest.mark.parametrize("max_n", [25, 500])
+    def test_shared_stream_matches_separate_runs(self, max_n):
+        fixed = (math.sqrt(5.0) - 1.0) / 2.0
+        modifiers = [lambda n: 0.0, lambda n: fixed, lambda n: INFINITY, lambda n: 0.5 ** n]
+        fraction = C.ContinuedFraction(0.0, lambda n: (1.0, 1.0))
+        shared = C.modified_values(fraction, modifiers, 1e-14, max_n)
+        separate = [C.modified_value(fraction, w, 1e-14, max_n) for w in modifiers]
+        assert shared == separate
+        assert [r.converged for r in shared] == ([False, True, False, False] if max_n == 25 else [True] * 4)
+
+    def test_shared_stream_raises_at_the_zero_numerator(self):
+        fraction = C.ContinuedFraction(0.0, lambda n: (0.0 if n == 7 else 1.0, 1.0))
+        with pytest.raises(ZeroPartialNumeratorError) as info:
+            C.modified_values(fraction, [lambda n: 0.0, lambda n: 1.0], 1e-12, 100)
+        assert info.value.n == 7
+
 
 class TestEquivalenceTransform:
     def test_unit_scale_is_identity(self):

@@ -10,6 +10,7 @@ from cflimits import cf as C
 from cflimits import limitset as L
 from cflimits.errors import (
     EqualAlphaBetaError,
+    NoConvergenceError,
     NotEllipticError,
     QEqualsAlphaBetaError,
 )
@@ -377,6 +378,91 @@ class TestComputeHViaModifications:
         assert a_val.value.z == pytest.approx(H_INF, abs=5e-5)
         assert b_val.value.z == pytest.approx(H_ZERO, abs=5e-5)
         assert c_val.value.z == pytest.approx(H_ONE, abs=5e-5)
+
+    @staticmethod
+    def root_spec(q=lambda n: 0.45**n * 1j, p=lambda n: 0.5**n):
+        # lambda = e^(-2 pi i 8/35): the tail values at n + 1 are 0 at n = 34
+        # and infinite at n = 35, both inside every run below.
+        return L.EllipticCFSpec(U.root_of_unity(1, 5), U.root_of_unity(3, 7), p=p, q=q)
+
+    @staticmethod
+    def separate_runs(spec, tol, max_n):
+        fraction, alpha, beta = L.build_cf(spec), spec.alpha, spec.beta
+        return [
+            C.modified_value(fraction, w, tol, max_n)
+            for w in (
+                lambda n: -beta.value,
+                lambda n: -alpha.value,
+                lambda n: L.tail_omega(alpha, beta, n + 1),
+            )
+        ]
+
+    # Recorded with three separate modified_value runs over the same fraction.
+    RECORDED = {
+        "worked": (
+            [("-0x1.29ea871480b31p-1", "-0x1.a1fa6f478d13fp-2"), ("0x1.577e35d8a169ap-1", "0x1.2d298bc329d1ep-2"),
+             ("-0x1.09969d9db5bfcp-1", "-0x1.a1821dc421aa0p-8"), ("0x1.214c574f6b2f4p-1", "0x1.d3e40899160bbp-3")],
+            [("0x1.21974bdda0233p+0", "0x1.8bc670d1402fcp-1"), ("0x1.338dbbb167391p+0", "0x1.1ca658ac3591bp-5"),
+             ("-0x1.a60d6016be1f2p-2", "-0x1.f26f718dfb31ep-2")],
+            ("0x1.2b3f2629b78c7p-2", "-0x1.72b267a6c497ap-4"),
+            ("0x1.c50ffbdcda88ep-4", "-0x1.a766780cca4c9p-3"),
+        ),
+        "roots": (
+            [("0x1.c8a90e6025de2p+0", "-0x1.211d5648836ccp+0"), ("-0x1.07a0cd99805a9p-3", "0x1.85b341829b6c4p-1"),
+             ("0x1.deb6d76e4c9acp+0", "-0x1.5772c83f4e09bp+0"), ("-0x1.fa4b647988442p-3", "-0x1.06cdb41595966p-2")],
+            [("0x1.d4e754560a000p-1", "0x1.b3152178ec785p-5"), ("-0x1.49a8f36d67cc0p+0", "-0x1.bdf2e3c56101cp+0"),
+             ("0x1.4328f12893237p-1", "0x1.9432647e6362ep-2")],
+            ("0x1.666a9aad6ba85p-4", "-0x1.97d9989adcdf4p-1"),
+            ("-0x1.82e14c6592e9cp+0", "-0x1.c64d32e4dbac4p+0"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_matches_recorded_bits(self, worked_spec, name):
+        spec = worked_spec if name == "worked" else self.root_spec()
+        mods = L.compute_h_via_modifications(spec, 1e-12, 5000)
+        h, targets, s, det_product = self.RECORDED[name]
+        assert [hex_pair(c) for c in (mods.h.a, mods.h.b, mods.h.c, mods.h.d)] == h
+        assert [hex_pair(v.z) for v in (mods.at_infinity, mods.at_zero, mods.at_one)] == targets
+        assert (hex_pair(mods.s), hex_pair(mods.det_product)) == (s, det_product)
+
+    def test_root_spec_runs_pass_the_exact_tail_values(self):
+        spec = self.root_spec()
+        assert L.tail_omega(spec.alpha, spec.beta, 35) == 0.0
+        assert L.tail_omega(spec.alpha, spec.beta, 36).is_infinity
+        assert min(r.n for r in self.separate_runs(spec, 1e-12, 5000)) > 35
+
+    def test_forms_the_longest_run_of_terms_once(self):
+        calls = 0
+
+        def p(n):
+            nonlocal calls
+            calls += 1
+            return 0.5**n
+
+        spec = self.root_spec(p=p)  # only the fraction's terms read p
+        L.compute_h_via_modifications(spec, 1e-12, 5000)
+        stops = [r.n for r in self.separate_runs(self.root_spec(), 1e-12, 5000)]
+        assert stops == [54, 58, 54]
+        assert calls == max(stops)
+
+    def test_q_equal_to_alpha_beta_raises_at_its_step(self):
+        ab = (U.root_of_unity(1, 5) * U.root_of_unity(3, 7)).value
+        spec = self.root_spec(q=lambda n: ab if n == 7 else 0.45**n * 1j)
+        with pytest.raises(QEqualsAlphaBetaError) as info:
+            L.compute_h_via_modifications(spec, 1e-12, 5000)
+        assert info.value.n == 7
+
+    # Stops at tol 1e-12: infinity 54, zero 58, one 54.
+    @pytest.mark.parametrize("max_n,label", [(50, "infinity"), (56, "zero")])
+    def test_budget_error_names_the_first_unsettled_limit(self, max_n, label):
+        spec = self.root_spec()
+        with pytest.raises(NoConvergenceError) as info:
+            L.compute_h_via_modifications(spec, 1e-12, max_n)
+        assert str(info.value) == f"modified fraction at {label} not stable after {max_n} terms"
+        runs = dict(zip(("infinity", "zero", "one"), self.separate_runs(spec, 1e-12, max_n)))
+        assert not runs[label].converged
+        assert info.value.last_delta == runs[label].last_delta
 
 
 class TestAsymptoticPredictor:
