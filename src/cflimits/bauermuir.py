@@ -2,10 +2,12 @@
 
 Each transform rebuilds the divergent elliptic-type fraction into a new
 fraction that genuinely converges, to the modified limit at infinity, at
-zero, or at an arbitrary power of lambda = alpha/beta.  A structurally
-vanishing partial numerator truncates the companion fraction (the constant
-case collapses to its leading term); a vanishing inner denominator of the
-lambda-power transform is reported, not patched.
+zero, or at an arbitrary power of lambda = alpha/beta.  A coupling L_n or
+inner denominator E_n that vanishes truncates the companion fraction only
+where the perturbation left, ``spec.tail_bound(n - 1)`` or without a bound
+|p_n| + |q_n| as term n carries it, is at most ``ROUNDOFF`` (the unperturbed
+case, or p_n and q_n lost in the unit-size terms); anywhere else the
+transform does not exist and DegenerateTermError(n) is raised.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from .errors import (
     DegenerateTermError,
+    QEqualsAlphaBetaError,
     RootOfUnityLambdaError,
     SeriesNotConvergedError,
 )
@@ -25,6 +28,9 @@ from .sphere import ExtendedComplex, chordal_distance
 
 #: Term n reads indices n - 2 .. n only: terms formed in order form each once.
 TERM_CACHE = 4
+
+#: Perturbations summing to at most this cannot show in terms of unit size.
+ROUNDOFF = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class BMTransformResult:
     k: int | None = None
 
     def evaluate(self, tol: float = 1e-12, max_n: int = 100_000) -> _cf.EvalResult:
-        return _cf.evaluate(self.cf, tol, max_n, on_zero_numerator="terminate")
+        return _cf.evaluate(self.cf, tol, max_n)
 
 
 def bm_at_infinity(spec: EllipticCFSpec) -> BMTransformResult:
@@ -60,7 +66,7 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
     # L_n = q_n + beta p_n, the transformed terms a'_n = a_{n-1} L_n / L_{n-1}
     # and b'_n = alpha + p_n + beta L_n / L_{n-1}, cleared of denominators by
     # the equivalence scaling c_n = L_{n-1} (so the n-th numerator carries
-    # L_n L_{n-2}, with L_0 = 1).
+    # L_n L_{n-2}, with L_0 = 1).  q_n = alpha beta raises as in ``build_cf``.
     av, bv = alpha.value, beta.value
     ab = (alpha * beta).value
     p, q = spec.p, spec.q
@@ -71,7 +77,12 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
         if n == 0:
             return 0j, 0j, 1.0 + 0.0j
         qn, pn = complex(q(n)), complex(p(n))
-        return qn, pn, qn + bv * pn
+        if qn == ab:
+            raise QEqualsAlphaBetaError(n)
+        l_n = qn + bv * pn
+        if l_n == 0:
+            _check_truncation(spec, n, abs(qn) + abs(pn))
+        return qn, pn, l_n
 
     def terms(n: int) -> tuple[complex, complex]:
         _, p_n, l_n = perturbation(n)
@@ -81,6 +92,13 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
         return (q_back - ab) * l_n * perturbation(n - 2)[2], (av + p_n) * l_back + bv * l_n
 
     return _cf.ContinuedFraction(-bv, terms)
+
+
+def _check_truncation(spec: EllipticCFSpec, n: int, carried: float) -> None:
+    """Let a coupling vanishing at term n truncate only where the perturbation left is negligible."""
+    left = carried if spec.tail_bound is None else spec.tail_bound(n - 1)
+    if not left <= ROUNDOFF:
+        raise DegenerateTermError(n)
 
 
 def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
@@ -94,13 +112,14 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
         E_n = -alpha beta + q_n - w_{n-1} (alpha + beta + p_n + w_n),
 
     where w_n is the tail value shifted by k.  Requires lambda not to be a
-    root of unity (the shifted tail values must stay finite); E_{n-1} = 0 is
-    reported as DegenerateTermError(n), and q_n = alpha beta as in ``build_cf``.
+    root of unity (the shifted tail values must stay finite); E_n = 0 is
+    handled as the module says, and q_n = alpha beta raises as in ``build_cf``.
     """
     lam = spec.lam
     if lam.is_exact_root:
         raise RootOfUnityLambdaError("alpha/beta is a root of unity")
     bv = spec.beta.value
+    ab, absum = (spec.alpha * spec.beta).value, spec.alpha.value + bv
     original = functools.lru_cache(maxsize=TERM_CACHE)(build_cf(spec).terms)
     kp = max(3, k + 3)
 
@@ -116,7 +135,10 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
         """(E_n, alpha + beta + p_n + w_n), both built from the original (a_n, b_n)."""
         a, b = original(n)
         den = b + w(n)
-        return a - w(n - 1) * den, den
+        e_n = a - w(n - 1) * den
+        if e_n == 0:
+            _check_truncation(spec, n, abs(a + ab) + abs(b - absum))
+        return e_n, den
 
     def terms(n: int) -> tuple[complex, complex]:
         if n < kp:
@@ -126,11 +148,8 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
             return a, b + w(n)
         if n == kp + 1:
             return e(n)
-        inner_den = e(n - 1)[0]
-        if inner_den == 0:
-            raise DegenerateTermError(n)
         e_n, den = e(n)
-        inner = e_n / inner_den
+        inner = e_n / e(n - 1)[0]  # E_{n-1} = 0 raised or truncated at term n - 1
         return original(n - 1)[0] * inner, den - w(n - 2) * inner
 
     return BMTransformResult(_cf.ContinuedFraction(0.0, terms), "lambda-power", k)
@@ -165,7 +184,7 @@ def rbm_identity(
         return -ab * q, q**n + av + bv * q
 
     fraction = _cf.ContinuedFraction(-bv, terms)
-    lhs = _cf.evaluate(fraction, tol, max_n, on_zero_numerator="terminate").limit(
+    lhs = _cf.evaluate(fraction, tol, max_n).limit(
         SeriesNotConvergedError, f"transformed fraction not stable after {max_n} terms"
     )
 

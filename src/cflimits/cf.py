@@ -17,9 +17,12 @@ pair of close consecutive approximants is easily faked by a slowly
 rotating unit eigenvalue ratio, so instead we require a stability window
 of consecutive small steps.  That criterion is a heuristic, not a proof.
 ``Monitor`` is the one place that counts such windows for every limit
-sequence of the package, ``checked_tol`` the one check of a tolerance,
-``renorm_exponent`` the one power-of-two renormalizer, and
-``geometric_tail`` the one geometric tail bound.
+sequence of the package and the only stopping state; ``checked_tol`` is
+the one check of a tolerance, ``renorm_exponent`` the one power-of-two
+renormalizer, and ``geometric_tail`` the one geometric tail bound.
+``evaluate``, ``modified_value(s)`` and ``limit_along_residue`` all run
+through ``_subsequence_limits``, the one loop over approximant
+subsequences, which keeps one ``Monitor`` per subsequence.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleErro
 from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
+#: n -> w(n), the value that replaces the tail of the n-th approximant.
+Modifier = Callable[[int], complex | ExtendedComplex]
 
 #: Default renormalization trigger for convergent pairs.
 RENORM_THRESHOLD = 1e150
@@ -111,8 +116,9 @@ class ContinuedFraction:
     """b0 + K(a_n / b_n) with terms supplied by a pure generator.
 
     ``terms(n)`` must return the pair (a_n, b_n) for n >= 1 and must be a
-    pure function of n.  A zero partial numerator is rejected during
-    iteration (it would truncate the fraction).
+    pure function of n.  A zero partial numerator truncates the fraction:
+    ``ConvergentStream.step`` raises ZeroPartialNumeratorError there, and
+    the limit loop ends unmodified approximants at their exact value.
     """
 
     b0: complex
@@ -206,68 +212,16 @@ class EvalResult:
         return self.value
 
 
-class _Settle:
-    """The chordal stopping rule of one approximant sequence, fed a sample at a time.
-
-    ``push(n, approximant)`` is True once ``window`` steps in a row are under
-    ``tol``; a ``None`` approximant means the fraction terminated, so the
-    previous sample is its exact value.  ``outcome()`` is the EvalResult.
-    """
-
-    __slots__ = ("monitor", "n", "prev", "result")
-
-    def __init__(self, tol: float, window: int):
-        self.monitor = Monitor(tol, window)
-        self.n, self.prev, self.result = 0, None, None
-
-    def push(self, n: int, value: ExtendedComplex | None) -> bool:
-        if value is None:
-            self.result = EvalResult(True, self.prev, self.n, self.monitor.last_delta)
-        else:
-            self.n = n
-            if self.prev is not None and self.monitor.update(chordal_distance(value, self.prev)):
-                self.result = EvalResult(True, value, n, self.monitor.last_delta)
-            self.prev = value
-        return self.result is not None
-
-    def outcome(self) -> EvalResult:
-        return self.result or EvalResult(False, None, self.n, self.monitor.last_delta)
-
-
-def evaluate(
-    cf: ContinuedFraction,
-    tol: float,
-    max_n: int,
-    on_zero_numerator: str = "raise",
-) -> EvalResult:
+def evaluate(cf: ContinuedFraction, tol: float, max_n: int) -> EvalResult:
     """Iterate approximants until chordally stable over ``STABILITY_WINDOW`` steps.
 
-    ``on_zero_numerator`` may be "raise" (default, the generic contract) or
-    "terminate": a zero partial numerator then truncates the fraction and
-    the current approximant is returned as its exact value.
+    A zero partial numerator truncates the fraction: the current approximant
+    is then returned as its exact value.
     """
-    stream = convergents(cf)
-    settle = _Settle(tol, STABILITY_WINDOW)
-    settle.push(0, stream.value())
-    for _ in range(max_n):
-        try:
-            stream.step()
-        except ZeroPartialNumeratorError:
-            if on_zero_numerator != "terminate":
-                raise
-            settle.push(stream.n, None)
-            break
-        if settle.push(stream.n, stream.value()):
-            break
-    return settle.outcome()
+    return _subsequence_limits(cf, ((0, 1, None),), tol, STABILITY_WINDOW, max_n)[0]
 
 
-def modified_value(
-    cf: ContinuedFraction,
-    w: Callable[[int], complex | ExtendedComplex],
-    tol: float,
-    max_n: int,
-) -> EvalResult:
+def modified_value(cf: ContinuedFraction, w: Modifier, tol: float, max_n: int) -> EvalResult:
     """Limit of approximants with the tail denominator perturbed by w(n).
 
     The n-th approximant replaces b_n by b_n + w(n), evaluated through the
@@ -278,48 +232,66 @@ def modified_value(
 
 
 def modified_values(
-    cf: ContinuedFraction,
-    modifiers: Sequence[Callable[[int], complex | ExtendedComplex]],
-    tol: float,
-    max_n: int,
+    cf: ContinuedFraction, modifiers: Sequence[Modifier], tol: float, max_n: int
 ) -> list[EvalResult]:
-    """``modified_value`` for each modifier, all read off one convergent stream.
-
-    Each modifier stops at the n, value and last step of its own run, and
-    the fraction forms max(n) terms, not sum(n).  An error in forming term
-    n is raised at n, where the first of the separate runs would raise it.
-    """
-    stream = convergents(cf)
-    settles = [_Settle(tol, STABILITY_WINDOW) for _ in modifiers]
-    pending = list(zip(settles, modifiers))
-    while pending and stream.n < max_n:
-        stream.step()
-        n = stream.n
-        pending = [(settle, w) for settle, w in pending if not settle.push(n, stream.modified(w(n)))]
-    return [settle.outcome() for settle in settles]
+    """``modified_value`` for each modifier, all read off one convergent stream."""
+    return _subsequence_limits(cf, [(1, 1, w) for w in modifiers], tol, STABILITY_WINDOW, max_n)
 
 
 def limit_along_residue(
-    cf: ContinuedFraction,
-    residue: int,
-    modulus: int,
-    tol: float,
-    max_n: int,
-    w: Callable[[int], complex | ExtendedComplex] | None = None,
+    cf: ContinuedFraction, residue: int, modulus: int, tol: float, max_n: int, w: Modifier | None = None
 ) -> EvalResult:
     """Limit of (optionally modified) approximants along n = residue (mod m)."""
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus!r}")
+    return _subsequence_limits(cf, ((residue % modulus, modulus, w),), tol, RESIDUE_WINDOW, max_n)[0]
+
+
+def _subsequence_limits(
+    cf: ContinuedFraction,
+    subsequences: Sequence[tuple[int, int, Modifier | None]],
+    tol: float,
+    window: int,
+    max_n: int,
+) -> list[EvalResult]:
+    """The chordal limit of each approximant subsequence, all read off one convergent stream.
+
+    A subsequence (first, stride, w) takes the approximants at n = first,
+    first + stride, ..., modified by w(n) unless w is None, and stops once
+    its own ``Monitor`` does; the stream stops when all have, or after
+    ``max_n`` terms.  Each gets the n, value and last step of a run of its
+    own, and an error in forming term n is raised at n.  A zero partial
+    numerator a_n ends each unsettled unmodified subsequence at the exact
+    value f_{n-1} and raises for a modified one (its tail no longer exists).
+    """
     stream = convergents(cf)
-    settle = _Settle(tol, RESIDUE_WINDOW)
-    current = stream.value if w is None else (lambda: stream.modified(w(stream.n)))
-    if residue % modulus == 0:
-        settle.push(0, current())
-    for _ in range(max_n):
-        stream.step()
-        if stream.n % modulus == residue % modulus and settle.push(stream.n, current()):
+    monitors = [Monitor(tol, window, chordal_distance) for _ in subsequences]
+    sampled = [0] * len(subsequences)
+    results: list[EvalResult | None] = [None] * len(subsequences)
+    pending = [(i, first, stride, w, monitors[i]) for i, (first, stride, w) in enumerate(subsequences)]
+    while True:
+        n = stream.n
+        settled = False
+        for i, first, stride, w, monitor in pending:
+            if n >= first and (n - first) % stride == 0:
+                value = stream.value() if w is None else stream.modified(w(n))
+                sampled[i] = n
+                if monitor.step(value, None):
+                    results[i] = EvalResult(True, value, n, monitor.last_delta)
+                    settled = True
+        if settled:
+            pending = [entry for entry in pending if results[entry[0]] is None]
+        if not pending or n >= max_n:
             break
-    return settle.outcome()
+        try:
+            stream.step()
+        except ZeroPartialNumeratorError:
+            if any(entry[3] is not None for entry in pending):
+                raise
+            for i, *_, monitor in pending:
+                results[i] = EvalResult(True, stream.value(), n, monitor.last_delta)
+            break
+    return [r or EvalResult(False, None, sampled[i], monitors[i].last_delta) for i, r in enumerate(results)]
 
 
 def equivalence_transform(cf: ContinuedFraction, scale: Callable[[int], complex]) -> ContinuedFraction:

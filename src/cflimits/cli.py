@@ -368,6 +368,11 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
     else:
         spec = _builtin_fig_spec(which)
     count = _number(config, "count", "config", FIGURE_DEFAULTS[which], int)
+    if count < 0:
+        raise ConfigError(f"config.count must be at least 0, got {count}")
+    trim = _number(config, "trim", "config", 10.0, float)
+    if not 0.0 < trim < math.inf:
+        raise ConfigError(f"config.trim must be positive and finite, got {trim!r}")
     basename = str(config.get("basename", which if which != "custom" else "figure"))
     report = _ls.limit_set_report(spec, tol=args.tol if args.tol is not None else 1e-10, max_n=max_n)
     out = args.out or "."
@@ -378,7 +383,6 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
 
     conc = report.concentration
     if which == "fig6":
-        trim = _number(config, "trim", "config", 10.0, float)
         points = approximant_points(spec, count)
         _svg.write_csv(csv_path, _csv_rows(points))
         kept = [v.z.real for _, v in points if not v.is_infinity and abs(v.z) <= trim]

@@ -200,9 +200,9 @@ def rogers_ramanujan_two_limits(
     if not abs(q) > 1.0:
         raise ValueError("|q| must be > 1")
     fraction = _cf.ContinuedFraction(1.0, lambda n: (q**n, 1.0))
+    # Both classes are read off one stream: max(n_even, n_odd) terms are formed.
+    classes = _cf._subsequence_limits(fraction, ((0, 2, None), (1, 2, None)), tol, _cf.RESIDUE_WINDOW, max_n)
     return tuple(
-        _cf.limit_along_residue(fraction, parity, 2, tol, max_n).limit(
-            SeriesNotConvergedError, f"{name} approximants not stable after {max_n} terms"
-        )
-        for parity, name in ((0, "even"), (1, "odd"))
+        result.limit(SeriesNotConvergedError, f"{name} approximants not stable after {max_n} terms")
+        for result, name in zip(classes, ("even", "odd"))
     )

@@ -6,7 +6,7 @@ import pytest
 from cflimits import bauermuir as BM
 from cflimits import cf as C
 from cflimits import limitset as L
-from cflimits.errors import QEqualsAlphaBetaError, RootOfUnityLambdaError
+from cflimits.errors import DegenerateTermError, QEqualsAlphaBetaError, RootOfUnityLambdaError
 from cflimits.limitset import UnitModulusNumber as U
 from cflimits.sphere import chordal_distance
 
@@ -50,6 +50,27 @@ class TestAtInfinity:
                 L.build_cf(spec), lambda n: -spec.beta.value, 1e-13, 20000
             ).value
             assert chordal_distance(bm, mod) < 1e-8
+
+
+    def test_vanishing_coupling_with_perturbation_left_raises(self):
+        # q_2 = -0.09 beta makes L_2 = q_2 + beta p_2 vanish; truncating there
+        # returned a point 0.049 (chordal) off the modified limit.
+        alpha, beta = U.from_angle(math.sqrt(11)), U.from_angle(math.sqrt(13))
+        bv = beta.value
+        spec = L.EllipticCFSpec(alpha, beta, lambda n: 0.3**n, lambda n: -0.09 * bv if n == 2 else 0.2**n)
+        with pytest.raises(DegenerateTermError) as info:
+            BM.bm_at_infinity(spec).evaluate(1e-12)
+        assert info.value.n == 2
+
+    @pytest.mark.parametrize("transform", [BM.bm_at_infinity, BM.bm_at_zero])
+    def test_q_equal_to_alpha_beta_rejected(self, worked_spec, transform):
+        ab = (worked_spec.alpha * worked_spec.beta).value
+        spec = L.EllipticCFSpec(
+            worked_spec.alpha, worked_spec.beta, worked_spec.p, lambda n: ab if n == 3 else worked_spec.q(n)
+        )
+        with pytest.raises(QEqualsAlphaBetaError) as info:
+            transform(spec).evaluate(1e-12)
+        assert info.value.n == 3
 
 
 class TestAtZero:
@@ -115,6 +136,24 @@ class TestAtLambdaPower:
             with pytest.raises(QEqualsAlphaBetaError) as info:
                 BM.bm_at_lambda_power(spec, k).evaluate()
             assert info.value.n == bad
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_vanishing_inner_denominator_raises(self, worked_spec, bounded):
+        # q_7 is chosen so that E_7 = a_7 - w_6 (b_7 + w_7) is exactly 0 for k = 1;
+        # truncating there returned a point 1e-3 (chordal) off h(lambda^2).
+        k, n = 1, 7
+        lam, bv = worked_spec.lam, worked_spec.beta.value
+        ab = (worked_spec.alpha * worked_spec.beta).value
+        w = lambda j: L._tail_value(lam, bv, j - k).z
+        den = worked_spec.alpha.value + bv + complex(worked_spec.p(n)) + w(n)
+        q_n = ab + w(n - 1) * den
+        assert (-ab + q_n) - w(n - 1) * den == 0
+        q = lambda m: q_n if m == n else worked_spec.q(m)
+        tail = (lambda m: worked_spec.tail_bound(m) + (abs(q_n) if m < n else 0.0)) if bounded else None
+        spec = L.EllipticCFSpec(worked_spec.alpha, worked_spec.beta, worked_spec.p, q, tail)
+        with pytest.raises(DegenerateTermError) as info:
+            BM.bm_at_lambda_power(spec, k).evaluate(1e-12)
+        assert info.value.n == n
 
     def test_three_values_reassemble_direct_map(self, worked_spec):
         # h(inf), h(0), h(1) from the three transforms pin the same map.

@@ -268,9 +268,55 @@ class TestEvaluate:
 
     def test_terminating_policy(self):
         fraction = C.ContinuedFraction(5.0, lambda n: (0.0 if n == 1 else 1.0, 1.0))
-        result = C.evaluate(fraction, 1e-10, 100, on_zero_numerator="terminate")
+        result = C.evaluate(fraction, 1e-10, 100)
         assert result.converged
         assert result.value.z == 5.0
+
+    def test_zero_numerator_truncates_at_the_previous_approximant(self):
+        fraction = C.ContinuedFraction(0.0, lambda n: (0.0 if n == 7 else 1.0, 1.0))
+        stream = C.convergents(fraction)
+        for _ in range(6):
+            stream.step()
+        result = C.evaluate(fraction, 1e-12, 100)
+        assert result.converged and result.n == 6
+        assert result.value == stream.value()
+
+
+def ramanujan_three_limit_cf(q):
+    # 1/1 - 1/(1 + q) - 1/(1 + q^2) - ...: one limit per class of n mod 3.
+    return C.ContinuedFraction(0.0, lambda k: (1.0, 1.0) if k == 1 else (-1.0, 1.0 + q ** (k - 1)))
+
+
+class TestLimitAlongResidue:
+    CLASSES = [(0, None), (1, None), (2, lambda n: 0.25), (4, lambda n: -(0.5**n))]
+
+    # The classes settle at n = 65 .. 67: a budget of 66 leaves some unsettled.
+    @pytest.mark.parametrize("max_n", [30, 66, 500])
+    def test_shared_stream_matches_separate_runs(self, max_n, monkeypatch):
+        fraction = ramanujan_three_limit_cf(0.5)
+        separate = [C.limit_along_residue(fraction, r, 3, 1e-12, max_n, w) for r, w in self.CLASSES]
+        formed = []
+        term = C.ContinuedFraction.term
+        monkeypatch.setattr(C.ContinuedFraction, "term", lambda cf, n: formed.append(n) or term(cf, n))
+        classes = [(r % 3, 3, w) for r, w in self.CLASSES]
+        shared = C._subsequence_limits(fraction, classes, 1e-12, C.RESIDUE_WINDOW, max_n)
+        assert shared == separate
+        assert formed == list(range(1, min(max_n, max(r.n for r in shared)) + 1))
+        assert [r.converged for r in shared] == {30: [False] * 4, 66: [True, False, True, False]}.get(
+            max_n, [True] * 4
+        )
+
+    def test_zero_numerator_truncates_unmodified_classes_only(self):
+        fraction = C.ContinuedFraction(0.0, lambda n: (0.0 if n == 8 else 1.0, 1.0))
+        stream = C.convergents(fraction)
+        for _ in range(7):
+            stream.step()
+        for residue in range(3):
+            result = C.limit_along_residue(fraction, residue, 3, 1e-12, 100)
+            assert (result.converged, result.value, result.n) == (True, stream.value(), 7)
+        with pytest.raises(ZeroPartialNumeratorError) as info:
+            C.limit_along_residue(fraction, 1, 3, 1e-12, 100, w=lambda n: 0.5)
+        assert info.value.n == 8
 
 
 class TestModifiedValue:

@@ -196,6 +196,17 @@ class TestConfigValidation:
         assert "tol must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trim", -1), ("trim", 0), ("trim", "nan"), ("trim", "inf"), ("count", -5)],
+    )
+    def test_bad_figure_trim_or_count_is_config_error(self, tmp_path, capsys, field, value):
+        figure = write_config(tmp_path, "f6.json", {"kind": "figure", "which": "fig6", field: value})
+        out = tmp_path / "o"
+        assert cli.main(["figure", "--config", figure, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: config.{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_figure_cf_rejects_run_fields(self, tmp_path, capsys):
         cf = {k: v for k, v in WORKED_CONFIG.items() if k != "kind"}
         for extra in ({"kind": "banana"}, {"tol": 1e-3}, {"max_n": 5}):

@@ -182,6 +182,17 @@ class TestRogersRamanujanTwoLimits:
         assert chordal_distance(values[0], even) < 1e-10
         assert chordal_distance(values[1], odd) < 1e-10
 
+    def test_both_classes_read_off_one_stream(self, monkeypatch):
+        from cflimits import cf as C
+
+        fraction = C.ContinuedFraction(1.0, lambda n: (2.0**n, 1.0))
+        stops = [C.limit_along_residue(fraction, parity, 2, 1e-12, 5_000).n for parity in (0, 1)]
+        formed = []
+        term = C.ContinuedFraction.term
+        monkeypatch.setattr(C.ContinuedFraction, "term", lambda cf, n: formed.append(n) or term(cf, n))
+        Q.rogers_ramanujan_two_limits(2.0)
+        assert formed == list(range(1, max(stops) + 1))
+
     def test_q_1_5_determinant_of_transformed_fraction(self):
         # The equivalence-transformed fraction K 1/(q^(-ceil(n/2))) satisfies
         # the two-limit determinant identity with unit product.

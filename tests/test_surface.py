@@ -1,0 +1,55 @@
+"""The package's count of optional settable values may not grow unseen.
+
+An optional settable value is a parameter with a default (of any
+function, method or lambda) or a dataclass field with a default, counted
+over the AST of every module of the package.  A change that adds one must
+raise ``LIMIT`` in its own diff.
+"""
+
+import ast
+import pathlib
+
+import cflimits
+
+LIMIT = 69
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def optional_settable_values(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_counter_sees_each_kind_of_default():
+    source = '''
+@dataclass(frozen=True)
+class A:
+    x: int
+    y: int = 0
+    z = 1
+
+class B:
+    w: int = 2
+
+def f(a, b=1, *, c, d=2):
+    g = lambda h=3: h
+'''
+    assert optional_settable_values(source) == 4
+
+
+def test_optional_settable_values_do_not_grow():
+    package = pathlib.Path(cflimits.__file__).parent
+    total = sum(optional_settable_values(path.read_text()) for path in sorted(package.glob("*.py")))
+    assert total <= LIMIT
