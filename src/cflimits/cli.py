@@ -25,8 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable
 
-import numpy as np
-
+from ._numpy import np
 from . import bauermuir as _bm
 from . import cf as _cf
 from . import limitset as _ls
@@ -73,12 +72,18 @@ def _list(obj: dict, key: str, where: str, default: list | None = None) -> list:
 
 
 def _number(obj: dict, key: str, where: str, default: Any, kind: type) -> Any:
-    """A scalar field read by ``kind`` (float or int); required when the default is None."""
+    """A scalar field read by ``kind`` (float or int); required when the default is None.
+
+    Booleans are rejected, and so is a non-integral value for an int field.
+    """
     value = _field(obj, key, where) if default is None else obj.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), float(10**400)
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}") from exc
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
+        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
+    return number
 
 
 def _ratio(obj: dict, where: str, default: float | None = None) -> float:
@@ -90,12 +95,16 @@ def _ratio(obj: dict, where: str, default: float | None = None) -> float:
 
 
 def _complex_of(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, list) and len(value) == 2:
         parts = {"re": value[0], "im": value[1]}
-        return complex(_number(parts, "re", where, None, float), _number(parts, "im", where, None, float))
-    raise ConfigError(f"{where}: expected number or [re, im], got {value!r}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        parts = {"re": value, "im": 0.0}
+    else:
+        raise ConfigError(f"{where}: expected number or [re, im], got {value!r}")
+    z = complex(_number(parts, "re", where, None, float), _number(parts, "im", where, None, float))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"{where}: expected finite parts, got {value!r}")
+    return z
 
 
 def parse_angle_expression(text: str) -> UnitModulusNumber:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import cf as _cf
 from .errors import (
     EqualAlphaBetaError,

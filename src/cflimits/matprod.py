@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-from numpy.linalg import _umath_linalg
-
+from ._numpy import np
 from .cf import BLOCK_WINDOW, STABILITY_WINDOW, Monitor
 from .errors import (
     BudgetExceededError,
@@ -49,11 +47,11 @@ def _check_side(side: Side) -> None:
 # np.linalg.solve / det minus the wrappers' per-call checks: the same LAPACK
 # gufuncs, so the same bits, but a singular ``a`` gives NaN, not LinAlgError.
 def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _umath_linalg.solve(a, b, signature="DD->D", out=out)
+    return np.linalg._umath_linalg.solve(a, b, signature="DD->D", out=out)
 
 
 def _det(a: np.ndarray) -> complex:
-    return _umath_linalg.det(a, signature="D->D")
+    return np.linalg._umath_linalg.det(a, signature="D->D")
 
 
 @dataclass(frozen=True)

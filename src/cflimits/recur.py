@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from . import matprod as _mp
 from .cf import BLOCK_WINDOW, Monitor, renorm_exponent
 from .errors import (

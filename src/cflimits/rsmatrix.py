@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from . import matprod as _mp
 from .cf import RENORM_THRESHOLD, renorm_exponent
 from .errors import SingularBError

@@ -13,8 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DegenerateMapError, DegenerateTripleError, IndeterminateValueError
 
 # Scale-free determinant tolerance: |det| / max(|a|..|d|)^2 below this

@@ -171,9 +171,31 @@ class TestConfigValidation:
             ("limit-set", dict(WORKED_CONFIG, p={"type": "geometric", "coefficient": [None, 0], "ratio": 0.3}),
              "config.p.coefficient.re: expected float, got None"),
             ("matrix-product", dict(MP_CONFIG, m=[[0.0, [1.0, None]], [1.0, 0.0]]), "config.m.im"),
+            ("matrix-product", dict(MP_CONFIG, m=[[math.inf, -1.0], [1.0, 0.0]]), "config.m: expected finite"),
+            ("matrix-product", dict(MP_CONFIG, m=[[["inf", 0], -1.0], [1.0, 0.0]]), "config.m: expected finite"),
+            ("matrix-product", dict(MP_CONFIG, perturbation={"matrix": [[0.1, 0.0], [0.0, [0, "nan"]]]}),
+             "config.perturbation.matrix: expected finite"),
+            ("limit-set", dict(WORKED_CONFIG, p={"type": "geometric", "coefficient": ["inf", 0], "ratio": 0.3}),
+             "config.p.coefficient: expected finite"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "poly-qn", "q": 0.2, "coefficients": [0, -math.inf]}),
+             "config.q.coefficients: expected finite"),
+            ("recurrence", {"kind": "recurrence", "limits": [1.0, math.nan]}, "config.limits: expected finite"),
+            ("matrix-product", dict(MP_CONFIG, mode="residue", order=2.5), "config.order: expected int, got 2.5"),
+            ("matrix-product", dict(MP_CONFIG, mode="residue", order=True), "config.order: expected int, got True"),
+            ("limit-set", dict(WORKED_CONFIG, alpha={"root": [1.5, 4]}), "config.alpha.root: expected int, got 1.5"),
+            ("limit-set", dict(WORKED_CONFIG, max_n=math.inf), "config.max_n: expected int, got inf"),
+            ("limit-set", dict(WORKED_CONFIG, tol=True), "config.tol: expected float, got True"),
+            ("rs-cf", dict(RS_CONFIG, k_max=60.5), "config.k_max: expected int, got 60.5"),
+            ("limit-set", dict(WORKED_CONFIG, p={"type": "geometric", "coefficient": True, "ratio": 0.3}),
+             "config.p.coefficient: expected number or [re, im], got True"),
+            ("matrix-product", dict(MP_CONFIG, m=[[0.0, [1.0, False]], [1.0, 0.0]]),
+             "config.m.im: expected float, got False"),
         ],
         ids=["rs-r-null", "tol-list", "ratio-null", "root-zero-order", "root-null", "mp-shape", "rs-shape",
-             "mp-tol-nan", "mp-residue-tol-inf", "coefficient-re-null", "matrix-entry-im-null"],
+             "mp-tol-nan", "mp-residue-tol-inf", "coefficient-re-null", "matrix-entry-im-null",
+             "mp-entry-inf", "mp-entry-str-inf", "mp-pert-nan", "coefficient-inf", "poly-coefficient-inf",
+             "rec-limit-nan", "order-fraction", "order-bool", "root-fraction", "max-n-inf", "tol-bool",
+             "k-max-fraction", "coefficient-bool", "entry-im-bool"],
     )
     def test_bad_scalar_or_shape_is_config_error(self, tmp_path, capsys, command, config, field):
         path = write_config(tmp_path, "bad.json", config)
@@ -181,6 +203,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert field in err
+
+    def test_integral_float_reads_as_int(self, tmp_path, capsys):
+        config = dict(MP_CONFIG, mode="residue", order=4, m=[[0.0, -1.0], [1.0, 0.0]])
+        outputs = []
+        for order in (4, 4.0):
+            path = write_config(tmp_path, "mp.json", dict(config, order=order))
+            assert cli.main(["matrix-product", "--config", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_flag_is_config_error(self, tmp_path, capsys, tol):
@@ -602,13 +633,15 @@ class TestModuleEntryPoint:
     """``python -m cflimits.cli`` as a fresh interpreter."""
 
     @staticmethod
-    def run(*argv, cwd):
+    def python(*args, cwd):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
-            [sys.executable, "-m", "cflimits.cli", *argv], cwd=cwd, env=env,
-            capture_output=True, text=True, timeout=120,
+            [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def run(self, *argv, cwd):
+        return self.python("-m", "cflimits.cli", *argv, cwd=cwd)
 
     def test_verify_exits_zero(self, tmp_path):
         proc = self.run("verify", cwd=tmp_path)
@@ -617,16 +650,37 @@ class TestModuleEntryPoint:
 
     def test_import_loads_no_cli_modules(self, tmp_path):
         # A fresh ``import cflimits`` is the benchmark's setup time; the CLI,
-        # its SVG writer and their standard-library parsers must stay out of it.
-        probe = "import sys, cflimits; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, "cflimits.cli", "cflimits.svgfig", "argparse", "json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        # its SVG writer and their standard-library parsers must stay out of
+        # it, and numpy must wait for first use there and in ``import
+        # cflimits.cli``.  numpy itself is always in sys.modules (as a lazy
+        # module until first touched), so the probe is numpy.linalg.
+        probe = (
+            "import sys, cflimits; print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+            "import cflimits.cli; print('numpy.linalg' in sys.modules)"
+        )
+        proc = self.python(
+            "-c", probe, "cflimits.cli", "cflimits.svgfig", "argparse", "json", "numpy.linalg", cwd=tmp_path
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "False"]
+
+    @pytest.mark.parametrize(
+        "command, name, config",
+        [("limit-set", "w.json", WORKED_CONFIG), ("figure", "f3.json", {"kind": "figure", "which": "fig3"})],
+        ids=["limit-set", "fig3"],
+    )
+    def test_numpy_free_command_leaves_numpy_unloaded(self, tmp_path, command, name, config):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from cflimits import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.linalg' in sys.modules)"
+        )
+        path = write_config(tmp_path, name, config)
+        proc = self.python("-c", probe, command, "--config", path, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_missing_field_exits_2_without_traceback(self, tmp_path):
         path = write_config(tmp_path, "mp.json", {k: v for k, v in MP_CONFIG.items() if k != "m"})

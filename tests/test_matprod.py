@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -523,3 +526,36 @@ class TestCocycleSteps:
         res = MP.cocycle_limit(pair, 5e-7)
         assert res.n_terms >= 1000
         assert calls <= res.n_terms // MP.INVERSE_CHECK_EVERY + 2
+
+
+# Factors built from plain lists, so that in a fresh interpreter the call is
+# the process's first use of numpy (numpy loads on first attribute access).
+FIRST_USE_CASE = """
+import math, sys
+import cflimits
+c, s = math.cos(0.7), math.sin(0.7)
+pair = cflimits.MatrixSequencePair(
+    2,
+    lambda i: [[c + 0.3 / i**2, -s + 0.5j / i**2], [s - 0.4 / i**2, c + 0.15j / i**2]],
+    lambda i: [[c, -s], [s, c]],
+    lambda n: 1.5 / n,
+)
+numpy_loaded = "numpy.linalg" in sys.modules
+res = cflimits.cocycle_limit(pair, 1e-4)
+answer = (res.f.tobytes().hex(), res.n_terms, repr(res.det_f), res.d_all_nonsingular, repr(res.last_delta))
+"""
+
+
+class TestFreshInterpreter:
+    def test_cocycle_limit_as_first_numpy_use_gives_same_bytes(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(MP.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = FIRST_USE_CASE + "print(numpy_loaded)\nprint(repr(answer))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        namespace = {}
+        exec(FIRST_USE_CASE, namespace)
+        assert namespace["answer"][1] > MP.INVERSE_CHECK_EVERY
+        assert proc.stdout.splitlines() == ["False", repr(namespace["answer"])]
