@@ -222,8 +222,8 @@ def _elliptic_spec(obj: dict, where: str) -> _ls.EllipticCFSpec:
 
 
 def _matrix_of(obj: Any, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
-        raise ConfigError(f"{where}: expected a matrix as list of rows")
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) and len(r) == len(obj) for r in obj):
+        raise ConfigError(f"{where}: expected a square matrix as list of rows")
     rows = [[_complex_of(v, where) for v in row] for row in obj]
     return np.asarray(rows, dtype=complex)
 

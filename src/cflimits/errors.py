@@ -81,8 +81,17 @@ class MNotFiniteOrderError(CFLimitsError):
     """M^m differs from the identity beyond tolerance."""
 
 
-class UnboundedMProductsError(CFLimitsError):
-    """Partial products of the comparison sequence crossed the norm ceiling."""
+class UnboundedMProductsError(CFLimitsError, ValueError):
+    """M is singular, not diagonalizable or has an eigenvalue off the unit circle,
+    so M^n or M^-n is unbounded; raised for the argument, so also a ValueError."""
+
+
+class InvalidFactorError(CFLimitsError):
+    """Factor n of a matrix product is not finite, or is not the constant M."""
+
+    def __init__(self, message: str, n: int):
+        super().__init__(message)
+        self.n = n
 
 
 class RootsNotDistinctError(CFLimitsError):

@@ -3,14 +3,15 @@
 Three regimes: absolutely summable factors I + A_i (the product converges
 outright); factors drifting toward a single finite-order matrix M (partial
 products converge along blocks of the order, with residue limits M^j F or
-F M^j); and factors drifting toward a bounded comparison sequence M_i (the
-cocycle F = lim (prod D)(prod M)^-1 exists and prod D ~ F prod M).
+F M^j); and factors drifting toward a constant comparison matrix M with
+bounded powers (the cocycle F = lim (prod D)(M^n)^-1 exists, computed in
+M's eigenbasis in blocks of steps, and prod D ~ F M^n).
 
 Products come in two orientations.  "left" means D_1 D_2 ... D_n (new
-factors attach on the right); the cocycle is then (prod D)(prod M)^-1, the
-asymptotics prod D ~ F prod M, and residue limits are F M^j.  "right"
-means D_n ... D_2 D_1; the cocycle is (prod M)^-1 (prod D), the asymptotics
-prod D ~ (prod M) F, and residue limits are M^j F.  Norms are always the
+factors attach on the right); the cocycle is then (prod D)(M^n)^-1, the
+asymptotics prod D ~ F M^n, and residue limits are F M^j.  "right" means
+D_n ... D_2 D_1; the cocycle is (M^n)^-1 (prod D), the asymptotics
+prod D ~ M^n F, and residue limits are M^j F.  Norms are always the
 maximum absolute entry.
 """
 
@@ -24,14 +25,16 @@ from ._numpy import np
 from .cf import BLOCK_WINDOW, STABILITY_WINDOW, Monitor
 from .errors import (
     BudgetExceededError,
+    InvalidFactorError,
     MNotFiniteOrderError,
     UnboundedMProductsError,
 )
 
 Side = str  # "left" | "right"
 
-#: Steps between consistency checks of the incrementally inverted product.
-INVERSE_CHECK_EVERY = 64
+#: Steps per block of ``cocycle_limit``, doubling from the first to the last: a small
+#: first block forms few unused factors; larger blocks were slower (more scan levels).
+BLOCK_STEPS = (16, 64)
 
 
 def entry_norm(a: np.ndarray) -> float:
@@ -44,24 +47,34 @@ def _check_side(side: Side) -> None:
         raise ValueError(f'side must be "left" or "right", got {side!r}')
 
 
-# np.linalg.solve / det minus the wrappers' per-call checks: the same LAPACK
-# gufuncs, so the same bits, but a singular ``a`` gives NaN, not LinAlgError.
-def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.linalg._umath_linalg.solve(a, b, signature="DD->D", out=out)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, as d broadcast products (``@`` calls BLAS per matrix)."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
 
 
-def _det(a: np.ndarray) -> complex:
-    return np.linalg._umath_linalg.det(a, signature="D->D")
+def unit_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, S, S^-1) with M = S diag(mu) S^-1; UnboundedMProductsError unless
+    every |mu_k| is within 1e-8 of 1 and cond(S) <= 1e8, i.e. M^{+-n} bounded."""
+    mu, s = np.linalg.eig(m)
+    k = int(np.abs(np.abs(mu) - 1.0).argmax())
+    if abs(abs(mu[k]) - 1.0) > 1e-8:
+        raise UnboundedMProductsError(f"M has an eigenvalue of modulus {abs(mu[k]):.6g}, not 1")
+    if np.linalg.cond(s) > 1e8:
+        raise UnboundedMProductsError("M is not (numerically) diagonalizable")
+    return mu, s, np.linalg.inv(s)
 
 
 @dataclass(frozen=True)
 class MatrixSequencePair:
-    """Perturbed sequence D_i with comparison sequence M_i.
+    """Perturbed sequence D_i with a constant comparison matrix M.
 
-    ``tail_bound(N)``, when given, bounds sum_{i>N} ||D_i - M_i||.  Both
-    prod(M) and prod(M)^-1 must stay bounded; that hypothesis cannot be
-    checked globally, so partial products are monitored against
-    ``norm_ceiling`` and violations raise UnboundedMProductsError.
+    ``d_seq`` and ``m_seq`` must be pure in i (results are read after later calls);
+    every ``m_seq(i)`` is M (``cocycle_limit`` raises InvalidFactorError at the
+    first that differs), and M must pass ``unit_eigenbasis``.  ``tail_bound(N)``,
+    when given, bounds sum_{i>N} ||D_i - M||.
     """
 
     dim: int
@@ -69,7 +82,6 @@ class MatrixSequencePair:
     m_seq: Callable[[int], np.ndarray]
     tail_bound: Callable[[int], float] | None = None
     side: Side = "left"
-    norm_ceiling: float = 1e6
 
     def __post_init__(self):
         _check_side(self.side)
@@ -96,7 +108,8 @@ def wedderburn_product(
 
     The remaining factors multiply the partial product by something within
     exp(tail) - 1 of the identity (in the submultiplicative scaled norm),
-    which yields the stopping bound.
+    which yields the stopping bound.  A non-finite A_i raises
+    InvalidFactorError at its index.
     """
     _check_side(side)
     first = np.asarray(a_seq(1), dtype=complex)
@@ -107,6 +120,8 @@ def wedderburn_product(
     product = eye.copy()
     for i in range(1, max_terms + 1):
         a_i = (first if i == 1 else np.asarray(a_seq(i), dtype=complex)).reshape(d, d)
+        if not np.isfinite(a_i).all():
+            raise InvalidFactorError(f"factor A_{i} is not finite", i)
         product = product @ (eye + a_i) if side == "left" else (eye + a_i) @ product
         bound = d * max(1.0, entry_norm(product)) * math.expm1(tail_bound(i))
         if bound < tol:
@@ -116,7 +131,7 @@ def wedderburn_product(
 
 @dataclass(frozen=True)
 class CocycleResult:
-    """Limit F of (prod D)(prod M)^-1 (orientation-adjusted) and diagnostics."""
+    """Limit F of (prod D)(M^n)^-1 (orientation-adjusted) and diagnostics."""
 
     f: np.ndarray
     n_terms: int
@@ -130,77 +145,70 @@ def cocycle_limit(
     tol: float = 1e-10,
     max_terms: int = 200_000,
 ) -> CocycleResult:
-    """F = lim (prod D_i)(prod M_i)^-1, orientation per ``pair.side``.
+    """F = lim (prod D_i)(M^n)^-1, orientation per ``pair.side``.
 
-    The inverse partial product is maintained incrementally by one linear
-    solve per step (never by re-inverting the whole product) and its
-    consistency with the forward product is checked periodically.  det(F)
-    is nonzero exactly when every D_i seen was nonsingular; a flag reports
-    that.  Convergence is a stability window on F plus, when a tail bound
-    is available, an explicit tail estimate.  The loop runs under
-    ``np.errstate(invalid="ignore")``, callbacks included.  Each step makes one
-    stacked product for prod D and prod M, and one reduction gives all its norms.
+    M = ``pair.m(1)`` = S diag(mu) S^-1 is decomposed once, before any D_i,
+    and (M^n)^-1 = S diag(mu^-n) S^-1 comes from running products of mu^-1.
+    In each block of steps (``BLOCK_STEPS``) a log2-level scan of stacked
+    matmuls forms the partial products; F_n, the steps max|F_n - F_{n-1}|,
+    the tail bounds and the det(D_i) flags are array operations, and the
+    Monitor sees each step in order, as a step-by-step loop would.  The
+    tail bound is d^2 (B g)^2 max(1, ||F_n||) tail_bound(n): B = max_ij
+    sum_k |S_ik||S^-1_kj| times g, the largest |mu_k^{+-j}| up to the end of
+    the block, bounds every entry of M^j and M^-j.  A non-finite D_i, or an M_i other than M,
+    raises InvalidFactorError at i unless the loop stopped before it.
     """
     d = pair.dim
-    eye = np.eye(d, dtype=complex)
-    # Steps alternate between two slabs [D_i, M_i, prod D, prod M, prod M^-1, F, F - F_prev].
-    slabs = np.zeros((2, 7, d, d), dtype=complex)
-    slabs[0, 2:5] = eye
-    views = [(s, s[0:2], s[2:4], s[2], s[3], s[4], s[5], s[6]) for s in slabs]
-    prev_prods, prev_inv, prev_f = slabs[0, 2:4], slabs[0, 4], slabs[0, 5]
-    absolute = np.empty((7, d, d))
+    mul = _matmul if pair.side == "left" else (lambda a, b: _matmul(b, a))  # P_n = mul(P_{n-1}, D_n)
+    m = pair.m(1)
+    mu, s, s_inv = unit_eigenbasis(m)
+    bound = float((np.abs(s) @ np.abs(s_inv)).max())
     monitor = Monitor(tol, STABILITY_WINDOW)
-    nonsingular = True
-    bound_m = 1.0
-
-    left = pair.side == "left"
-    with np.errstate(invalid="ignore"):  # a singular M_i is caught below
-        for i in range(1, max_terms + 1):
-            slab, factors, prods, prod_d, prod_m, prod_m_inv, f, f_step = views[i % 2]
-            di = pair.d(i)
-            mi = pair.m(i)
-            factors[0], factors[1] = di, mi
-            if left:
-                np.matmul(prev_prods, factors, out=prods)
-                _solve(mi, prev_inv, out=prod_m_inv)
-                np.matmul(prod_d, prod_m_inv, out=f)
-            else:
-                np.matmul(factors, prev_prods, out=prods)
-                _solve(mi.T, prev_inv.T, out=prod_m_inv.T)
-                np.matmul(prod_m_inv, prod_d, out=f)
-            np.subtract(f, prev_f, out=f_step)
-            np.absolute(slab, out=absolute)
-            # Each row's maximum is exact, so these are entry_norm's bits (0 when d = 0).
-            norm_d, _, _, norm_m, norm_minv, _, delta = np.maximum.reduce(absolute, (1, 2), initial=0.0).tolist()
-            if nonsingular and abs(_det(di)) < 1e-12 * max(1.0, norm_d) ** d:
-                nonsingular = False
-            if norm_minv != norm_minv:  # NaN: LinAlgError for a singular M_i, else the same bits
-                prod_m_inv[...] = np.linalg.solve(mi, prev_inv) if left else np.linalg.solve(mi.T, prev_inv.T).T
-            bound_m = max(bound_m, norm_m, norm_minv)
-            if norm_m > pair.norm_ceiling or norm_minv > pair.norm_ceiling:
-                raise UnboundedMProductsError(
-                    f"comparison product norm {max(norm_m, norm_minv):.3g} crossed the "
-                    f"ceiling {pair.norm_ceiling:.3g} at step {i}"
-                )
-            if i % INVERSE_CHECK_EVERY == 0:
-                drift = entry_norm(prod_m @ prod_m_inv - eye)
-                if drift > 1e-12:
-                    prod_m_inv[...] = np.linalg.inv(prod_m)
-                    if entry_norm(prod_m @ prod_m_inv - eye) > 1e-10:
-                        raise UnboundedMProductsError(
-                            f"inverse product drift {drift:.3g} not recoverable at step {i}"
-                        )
-            tail = None
-            if pair.tail_bound is not None:
-                t = pair.tail_bound(i)
-                # Rounding is monotone and max(1, ||F||) >= 1, so for t >= 0 the full
-                # bound is never below this screen; only a screen under tol can stop.
-                tail = d * d * bound_m * bound_m * t
-                if tail < tol:
-                    tail = d * d * bound_m * bound_m * max(1.0, entry_norm(f)) * t
-            if monitor.update(math.inf if i == 1 else delta, tail):
-                return CocycleResult(f.copy(), i, complex(np.linalg.det(f)), nonsingular, monitor.last_delta)
-            prev_prods, prev_inv, prev_f = prods, prod_m_inv, f
+    product = np.eye(d, dtype=complex)
+    f_prev = np.full((d, d), math.inf, dtype=complex)  # so the first step is inf
+    w, growth, nonsingular = np.ones(d, dtype=complex), 1.0, True  # w = mu^-n
+    start, size = 1, BLOCK_STEPS[0]
+    while start <= max_terms:
+        steps = range(start, start + min(size, max_terms - start + 1))
+        block = np.array([pair.d(i) for i in steps])
+        others = [(i, mi) for i in steps if (mi := pair.m_seq(i)) is not m]
+        stop_at, message = steps.stop, None  # the first step the loop may not take
+        if others:
+            differs = (np.array([pair._square(mi) for _, mi in others]) != m).any(axis=(1, 2))
+            if differs.any():
+                stop_at = others[int(differs.argmax())][0]
+                message = f"M_{stop_at} differs from M_1; cocycle_limit needs a constant comparison matrix"
+        finite = np.isfinite(block).all(axis=(1, 2))
+        if not finite[: stop_at - start].all():
+            stop_at = start + int(finite.argmin())
+            message = f"factor D_{stop_at} is not finite"
+        block = block[: stop_at - start]
+        if not len(block):
+            raise InvalidFactorError(message, stop_at)
+        singular = np.abs(np.linalg.det(block)) < 1e-12 * np.maximum(np.abs(block).max(axis=(1, 2)), 1.0) ** d
+        block[0] = mul(product, block[0])
+        shift = 1
+        while shift < len(block):
+            block[shift:] = mul(block[:-shift], block[shift:])
+            shift *= 2
+        ws = w * np.cumprod(np.broadcast_to(1.0 / mu, (len(block), d)), axis=0)
+        f = mul(block, _matmul(s * ws[:, None, :], s_inv))  # F_n = mul(P_n, S diag(mu^-n) S^-1)
+        deltas = np.abs(f - np.concatenate((f_prev[None], f[:-1]))).max(axis=(1, 2)).tolist()
+        tails = [None] * len(block)
+        if pair.tail_bound is not None:
+            mags = np.abs(ws)
+            growth = max(growth, float(np.maximum(mags, 1.0 / mags).max()))
+            t = [pair.tail_bound(i) for i in range(start, stop_at)]
+            tails = (d * d * (bound * growth) ** 2 * np.maximum(np.abs(f).max(axis=(1, 2)), 1.0) * t).tolist()
+        for k, (delta, tail) in enumerate(zip(deltas, tails)):
+            if monitor.update(delta, tail):
+                nonsingular = nonsingular and not singular[: k + 1].any()
+                return CocycleResult(f[k].copy(), start + k, complex(np.linalg.det(f[k])), nonsingular, delta)
+        if message:
+            raise InvalidFactorError(message, stop_at)
+        nonsingular = nonsingular and not singular.any()
+        product, f_prev, w = block[-1], f[-1], ws[-1]
+        start, size = stop_at, min(2 * size, BLOCK_STEPS[-1])
     raise monitor.exhausted(f"cocycle not stable after {max_terms} factors", BudgetExceededError)
 
 
@@ -264,15 +272,11 @@ def residue_matrix_limits(
 
 
 def product_predictor(pair: MatrixSequencePair, f: np.ndarray, n: int) -> np.ndarray:
-    """The asymptotic surrogate F * prod_{i<=n} M_i (orientation-adjusted).
+    """The asymptotic surrogate F M^n (orientation-adjusted).
 
     Observables of the true products prod D_i approach the same observable
     of this surrogate, which is how limit sets transfer through continuous
     functions of the product.
     """
-    d = pair.dim
-    product = np.eye(d, dtype=complex)
-    for i in range(1, n + 1):
-        mi = pair.m(i)
-        product = product @ mi if pair.side == "left" else mi @ product
-    return f @ product if pair.side == "left" else product @ f
+    power = np.linalg.matrix_power(pair.m(1), n)
+    return f @ power if pair.side == "left" else power @ f

@@ -33,7 +33,8 @@ class RSSystem:
 
     ``theta(k)`` must be a pure generator of n x n matrices for k >= 1.
     When ``theta_limit`` is given it must be diagonalizable with all
-    eigenvalues on the unit circle (checked to 1e-8); ``tail_bound(N)``
+    eigenvalues on the unit circle (``matprod.unit_eigenbasis`` raises
+    UnboundedMProductsError, a ValueError, otherwise); ``tail_bound(N)``
     should bound sum_{k>N} ||theta_k - theta_limit||.
     """
 
@@ -50,11 +51,7 @@ class RSSystem:
             object.__setattr__(self, "theta_limit", np.asarray(self.theta_limit, dtype=complex))
             if self.theta_limit.shape != (self.n, self.n):
                 raise ValueError("theta_limit has the wrong shape")
-            eigvals, eigvecs = np.linalg.eig(self.theta_limit)
-            if np.max(np.abs(np.abs(eigvals) - 1.0)) > 1e-8:
-                raise ValueError("theta_limit eigenvalues must have modulus 1")
-            if np.linalg.cond(eigvecs) > 1e8:
-                raise ValueError("theta_limit is not (numerically) diagonalizable")
+            _mp.unit_eigenbasis(self.theta_limit)
 
     @property
     def n(self) -> int:
@@ -127,12 +124,11 @@ class RSAsymptotics:
 
     r: int
     s: int
-    _eigvals: np.ndarray
-    _eigvecs: np.ndarray
-    _eigvecs_inv: np.ndarray
+    _eigenbasis: tuple[np.ndarray, np.ndarray, np.ndarray]  # (mu, S, S^-1)
 
     def theta_power(self, k: int) -> np.ndarray:
-        return self._eigvecs @ np.diag(self._eigvals**k) @ self._eigvecs_inv
+        mu, s, s_inv = self._eigenbasis
+        return s @ np.diag(mu**k) @ s_inv
 
     def predictor(self, k: int) -> np.ndarray:
         """f(theta^k F), asymptotic to the k-th approximant."""
@@ -159,13 +155,4 @@ def rs_asymptotics(
         side="right",
     )
     result = _mp.cocycle_limit(pair, tol)
-    eigvals, eigvecs = np.linalg.eig(theta)
-    return RSAsymptotics(
-        f_matrix=result.f,
-        n_terms=result.n_terms,
-        r=sys.r,
-        s=sys.s,
-        _eigvals=eigvals,
-        _eigvecs=eigvecs,
-        _eigvecs_inv=np.linalg.inv(eigvecs),
-    )
+    return RSAsymptotics(result.f, result.n_terms, sys.r, sys.s, _eigenbasis=_mp.unit_eigenbasis(theta))

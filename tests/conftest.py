@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cflimits import cf
 from cflimits.limitset import UnitModulusNumber, geometric_spec
 
 settings.register_profile(
@@ -13,6 +14,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def reasons(monkeypatch):
+    """Every stop reason a Monitor returns while the test runs, in order."""
+    seen = []
+    update = cf.Monitor.update
+
+    def spy(self, delta, tail_bound=None):
+        reason = update(self, delta, tail_bound)
+        if reason is not None:
+            seen.append(reason)
+        return reason
+
+    monkeypatch.setattr(cf.Monitor, "update", spy)
+    return seen
 
 
 # The perturbed-fraction worked example used throughout: geometric tails

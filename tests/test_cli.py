@@ -190,12 +190,18 @@ class TestConfigValidation:
              "config.p.coefficient: expected number or [re, im], got True"),
             ("matrix-product", dict(MP_CONFIG, m=[[0.0, [1.0, False]], [1.0, 0.0]]),
              "config.m.im: expected float, got False"),
+            ("matrix-product", dict(MP_CONFIG, m=[[0.0, -1.0], [1.0]]), "config.m: expected a square matrix"),
+            ("rs-cf", dict(RS_CONFIG, theta_limit=[[0.0, 1.0, 2.0], [-1.0, 4.0 / 3.0]]),
+             "config.theta_limit: expected a square matrix"),
+            ("matrix-product", dict(MP_CONFIG, m=[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]), "config.m: expected a square matrix"),
+            ("matrix-product", dict(MP_CONFIG, m=[[1.0, 1.0], [0.0, 1.0]]), "not (numerically) diagonalizable"),
         ],
         ids=["rs-r-null", "tol-list", "ratio-null", "root-zero-order", "root-null", "mp-shape", "rs-shape",
              "mp-tol-nan", "mp-residue-tol-inf", "coefficient-re-null", "matrix-entry-im-null",
              "mp-entry-inf", "mp-entry-str-inf", "mp-pert-nan", "coefficient-inf", "poly-coefficient-inf",
              "rec-limit-nan", "order-fraction", "order-bool", "root-fraction", "max-n-inf", "tol-bool",
-             "k-max-fraction", "coefficient-bool", "entry-im-bool"],
+             "k-max-fraction", "coefficient-bool", "entry-im-bool", "mp-ragged", "rs-ragged",
+             "mp-not-square", "mp-jordan"],
     )
     def test_bad_scalar_or_shape_is_config_error(self, tmp_path, capsys, command, config, field):
         path = write_config(tmp_path, "bad.json", config)
@@ -591,12 +597,12 @@ RECORDED = {
     "ls-line": "16b9d0d04821b315ed3946de8fe720e1867e9e8a02ee6449da029cd517b2474c",
     "ls-order17": "73e6390b25dda162ccf2aa4d02d4f2027d95a488f5af9463d7acd1ecfac00759",
     "ls-polyqn": "d216bc23e5ec49b264751ce080cda590a730153c36eb47fd3f3e9d9f3da3d0ae",
-    "mp-cocycle-left": "7ebf6c3fa2c66eb1e292a6eea46f260ee0b1f46a57f6611efd320db38c174823",
-    "mp-cocycle-right": "cfffc6c585dcaef614b752eb94193db7f04e3c87a5d3481623e49a16695e8156",
+    "mp-cocycle-left": "cd6f7131fb42f80663610f00a450230a34f90ec6c324e77355d18bb2a0e877be",
+    "mp-cocycle-right": "9e7b078517793b4728b06b76b2222db4c5fd291c7bb43f5be8abb30e7ed6970a",
     "mp-residue": "b43f0db11765a9de0d65a01270c5f5a07e056bc6165828d56dd94338e703a5b4",
-    "rec-nopert": "8dc965e44b374328fb6407d6836a0fa34e5d5e3fdc85fcb32df0e03aec800c7d",
-    "rec-pert": "f240c35745514a973b9c3e45ba624bc9df5e556eaa38dd7375ec5644094e1607",
-    "rs-cf": "e5ab183b98edd35fb7d177a125c8035de279099298ffe8ef672a1b78a6ac19fc",
+    "rec-nopert": "74a1c720c46ddbfda61e7e07d43c72d86575e9ae8286e7f4090611b896fd2560",
+    "rec-pert": "e59e80dcf3ec8dbfa5bf25f6749e66006ced61505cc9ec5ac580046fcb92c7e3",
+    "rs-cf": "26531b37c0dd3ca7b11c493f80bb545d20461ba3d46ae28e8f1ec1a741abcd4d",
     "verify-default": "368ecf00e2d457ea6acf1000e03b32333b6d5031e82b9bdfee54463493a38811",
     "verify-fail": "bcdf3bad10dda956b45bf75f4f4c389a15c9af0c7ccaaa365a6b590b729e7077",
     "verify-pass": "4317c5337fc3fe3de31792120188904d081b6878fe05441c249e6a6fb6c7fdfa",

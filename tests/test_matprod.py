@@ -9,11 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+import mpref
 from cflimits import cf as C
 from cflimits import limitset as L
 from cflimits import matprod as MP
 from cflimits.errors import (
     BudgetExceededError,
+    InvalidFactorError,
     MNotFiniteOrderError,
     UnboundedMProductsError,
 )
@@ -155,6 +157,16 @@ class TestWedderburn:
         assert hashlib.sha256(got.tobytes()).hexdigest() == want
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_factor_raises_at_its_index(self, side, bad):
+        # max(1.0, nan) is 1.0, so a NaN product once passed the tail test.
+        a_seq = lambda i: np.full((2, 2), bad) if i == 3 else 0.5**i * E
+        with pytest.raises(InvalidFactorError, match="A_3 is not finite") as info:
+            MP.wedderburn_product(a_seq, lambda n: 0.5**n, 1e-12, side=side)
+        assert info.value.n == 3
+
+
 class TestResidueMatrixLimits:
     def test_constant_finite_order_cycles(self):
         m = rotation(2.0 * math.pi / 3.0)
@@ -253,18 +265,10 @@ class TestCocycleLimit:
 
     def test_unbounded_comparison_detected(self):
         grow = np.diag([2.0, 0.5]).astype(complex)
-        pair = MP.MatrixSequencePair(
-            2,
-            lambda i: grow + 0.5**i * np.eye(2) * 0.1,
-            lambda i: grow,
-            geometric_tail(0.2, 0.5),
-            norm_ceiling=1e4,
-        )
+        pair = MP.MatrixSequencePair(2, never_called, lambda i: grow, geometric_tail(0.2, 0.5))
         with pytest.raises(UnboundedMProductsError) as info:
             MP.cocycle_limit(pair, 1e-12)
-        assert str(info.value) == (
-            "comparison product norm 1.64e+04 crossed the ceiling 1e+04 at step 14"
-        )
+        assert str(info.value) == "M has an eigenvalue of modulus 2, not 1"
 
     def test_finite_order_reproduces_residue_limits(self):
         m = rotation(2.0 * math.pi / 3.0)
@@ -335,40 +339,14 @@ class TestInverseMaintenance:
             2, lambda i: m + 2.0**-i * np.eye(2), lambda i: m,
             geometric_tail(1.0, 0.5),
         )
-        # runs through several checkpoints without raising
+        # runs through several blocks without raising
         res = MP.cocycle_limit(pair, 1e-14, max_terms=5000)
         assert res.n_terms >= 16
 
 
-def as_bytes(x) -> bytes:
-    return np.asarray(x).tobytes()
-
-
 class TestGufuncCalls:
-    """The bare LAPACK gufuncs give the wrappers' bits, and the loop keeps
-    np.linalg.solve's error for a singular M_i."""
-
-    @staticmethod
-    def operands(rng, dim):
-        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
-            yield scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        if dim > 1:  # cond(a) = 1e12
-            q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            yield q1 @ np.diag(np.logspace(0, -12, dim)) @ q2
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_bit_equal_to_wrappers(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        with np.errstate(all="ignore"):
-            for a in self.operands(rng, dim):
-                b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                for x, y in ((a, b), (a.T, b), (a, b.T), (a.T, b.T)):
-                    assert as_bytes(MP._solve(x, y)) == as_bytes(np.linalg.solve(x, y))
-                    out = np.empty((dim, dim), dtype=complex)
-                    MP._solve(x, y, out=out.T)
-                    assert as_bytes(out.T.copy()) == as_bytes(np.linalg.solve(x, y))
-                    assert as_bytes(MP._det(x)) == as_bytes(np.linalg.det(x))
+    """The loop makes no LAPACK solve, and an M_i other than M_1 raises
+    InvalidFactorError at its step."""
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_singular_comparison_factor_raises_at_its_step(self, side):
@@ -382,21 +360,21 @@ class TestGufuncCalls:
         pair = MP.MatrixSequencePair(2, lambda i: m, m_seq, lambda n: 0.5**n, side=side)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            with pytest.raises(InvalidFactorError, match="M_5 differs from M_1") as info:
                 MP.cocycle_limit(pair, 1e-12)
-        assert seen[-1] == 5
+        assert info.value.n == 5
+        assert max(seen) == MP.BLOCK_STEPS[0]  # one comparison for the first block
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_other_nan_runs_on_as_before(self, side):
-        # LAPACK solves this without a zero pivot but returns NaN (inf - inf);
-        # np.linalg.solve does not raise, so the loop reaches the ceiling check.
-        bad = np.array([[1e-310, 1e300], [1e-310, 1e300]], dtype=complex)
+    def test_nan_comparison_factor_raises_at_its_step(self, side):
+        bad = np.array([[1e-310, 1e300], [1e-310, math.nan]], dtype=complex)
         m = rotation(0.7)
         pair = MP.MatrixSequencePair(
             2, lambda i: m, lambda i: bad if i == 5 else m, lambda n: 0.5**n, side=side
         )
-        with pytest.raises(UnboundedMProductsError, match="at step 5"):
+        with pytest.raises(InvalidFactorError, match="M_5 differs") as info:
             MP.cocycle_limit(pair, 1e-9)
+        assert info.value.n == 5
 
     def test_no_wrapper_call_per_step(self, monkeypatch):
         calls = {"solve": 0, "det": 0}
@@ -414,7 +392,9 @@ class TestGufuncCalls:
         pair = MP.MatrixSequencePair(2, lambda i: m + E / (i * i), lambda i: m)
         res = MP.cocycle_limit(pair, 5e-7)
         assert res.n_terms >= 1000 and res.d_all_nonsingular
-        assert calls == {"solve": 0, "det": 1}  # det(F) at the stop
+        # one stacked det per block, and det(F) at the stop
+        assert calls["solve"] == 0
+        assert calls["det"] <= res.n_terms // MP.BLOCK_STEPS[-1] + len(MP.BLOCK_STEPS) + 1
 
 
 def cocycle_spec(side: str, tail: bool, singular: bool) -> MP.MatrixSequencePair:
@@ -431,25 +411,27 @@ def cocycle_spec(side: str, tail: bool, singular: bool) -> MP.MatrixSequencePair
 
 
 # (side, tail, singular D_4) -> sha256 of f's bytes, n_terms, det_f (real and
-# imaginary .hex()), d_all_nonsingular, last_delta.hex(); recorded before the
-# loop called the LAPACK gufuncs directly.  tol 1e-9 with a tail, 1e-6 without.
+# imaginary .hex()), d_all_nonsingular, last_delta.hex(); recorded when the
+# loop moved to M's eigenbasis and blocks of steps (n and flags as before; F
+# within 4.4e-13 of the step-by-step solve loop's).  tol 1e-9 with a tail,
+# 1e-6 without.
 RECORDED_COCYCLES = {
-    ("left", True, False): ("5cb188f09ac01c0a074974db766f60b5badf10ac501f8b300c96715bf895c63b", 32,
-        ("0x1.97352d792e40fp-1", "-0x1.66bd0395503d0p-2"), True, "0x1.024ee855c525ep-33"),
-    ("left", True, True): ("0116490d25a761b3577fe35ec7b25e875647f7cb2a460be55bebe735d377091b", 33,
-        ("0x1.8fec0fc355c87p-52", "-0x1.dd8b4331e701ep-54"), False, "0x1.5808037727421p-34"),
-    ("left", False, False): ("8040eb57db8075340e89fa965bc612a80a0d3407b93c8c4b5d09890b1d145ffc", 755,
-        ("0x1.6d564c208a89bp-1", "-0x1.51aa08be7dd25p-1"), True, "0x1.b5b0104f43962p-21"),
-    ("left", False, True): ("76fdd3c568a798e32e0de12a4cd8433704f339acafcae377b7ec596d3ae4d4b9", 939,
-        ("0x1.5ca08b794a945p-49", "0x1.29ea01ffd4aa0p-49"), False, "0x1.98c0b7d00c503p-21"),
-    ("right", True, False): ("5931cb53a51ded2c9a344949d2d891d6ae69ad81d9916ae478121e9606bde6cc", 32,
-        ("0x1.97352d792e40ep-1", "-0x1.66bd0395503d6p-2"), True, "0x1.ec5b751710353p-34"),
-    ("right", True, True): ("89b49cb3d13789df2de946d50fed2a8961966d7f21359fd79d905bbaaf7a6315", 33,
-        ("-0x1.4fe6450c3b196p-52", "-0x1.da327fe398f64p-55"), False, "0x1.4bf650152d0d4p-34"),
-    ("right", False, False): ("0f95192c5c82bcb41e91ae1d28f709f04b99dffb973686074e39f2892bbe3401", 691,
-        ("0x1.6d5c6da7cb144p-1", "-0x1.51a8d10849d57p-1"), True, "0x1.ffdee61ff4aebp-21"),
-    ("right", False, True): ("92227cbcb2acad2259093539d60bb1cbb7cc8fe616f3d63fae08bcfb8828ae54", 993,
-        ("-0x1.e9c361b02ffd4p-48", "0x1.d90215325f93ep-49"), False, "0x1.b39b2c1e35b4fp-21"),
+    ("left", True, False): ("ebc22cbb6b86371be8b57e91a5f25dd688a26dc68dd2709c6162e399864d3a6a", 32,
+        ("0x1.97352d792e467p-1", "-0x1.66bd039550433p-2"), True, "0x1.024ed0cce3a49p-33"),
+    ("left", True, True): ("5caa86cba3bc9114fadcd346d6df03f57967b1715d268f02b0035a7078a04dcb", 33,
+        ("0x1.8d5867ba15597p-53", "0x1.76e836a190308p-54"), False, "0x1.5807d8ad1660dp-34"),
+    ("left", False, False): ("8bf33a9dc2d01d1ae11710632f84d755e3ebd1c61d1e22d5cea63442d303457f", 755,
+        ("0x1.6d564c208afb0p-1", "-0x1.51aa08be7e529p-1"), True, "0x1.b5b01050febf7p-21"),
+    ("left", False, True): ("ca088261c1f015520fdb7d7ac3ace15bf3dd71d3280787bedeb3365eb1c1886c", 939,
+        ("-0x1.b8483c56e8b96p-51", "-0x1.49ca07063dec0p-52"), False, "0x1.98c0b7dd8059ep-21"),
+    ("right", True, False): ("aa393c312804c28fba9a667c5ab98b5b70fc56291773b43edf8799479ca02574", 32,
+        ("0x1.97352d792e467p-1", "-0x1.66bd039550434p-2"), True, "0x1.ec5b4e8f8d8cfp-34"),
+    ("right", True, True): ("049fd857a3555148ffb5208a7d83a2eeb093f927d2468db7309ed8729523ac5e", 33,
+        ("0x1.5bc2a1b887cd4p-56", "0x1.246df0d52a217p-54"), False, "0x1.4bf5df96dd468p-34"),
+    ("right", False, False): ("99b28342f380822a8f0e647f2025663750b296340775c8a1ffb7bc479caced96", 691,
+        ("0x1.6d5c6da7cb7dfp-1", "-0x1.51a8d1084a4d2p-1"), True, "0x1.ffdee61dd9e50p-21"),
+    ("right", False, True): ("baeef6a6189557af510d574c3ce50631e5c6f2838174be7a4e2d046fdcf8c70f", 993,
+        ("0x1.3cc21b151cd25p-51", "-0x1.fdd407dda86e6p-53"), False, "0x1.b39b2c17b13f1p-21"),
 }
 
 
@@ -464,31 +446,118 @@ def test_cocycle_matches_recorded_bits(side, tail, singular):
     assert res.last_delta.hex() == delta
 
 
-# M = S R(0.7) S^-1 with S = [[1, 8], [0, 1]]: the incrementally solved inverse
-# drifts past 1e-12 by step 64, so every check (64, 128, 192) re-inverts.
-DRIFTING_COCYCLES = {
-    "left": ("a369cd753341e734a365c21868a7b3b3797b67813fa1e6298d721be440ea22ac", 194,
-        ("0x1.f7faaa0dc9e7ap-1", "0x1.0b9915a31ec69p-7"), "0x1.8aca201e4f506p-39"),
-    "right": ("34dbeb2fa0838eeb61768930db302184a5e6a62eba94dc623b07d4f1226bc16e", 194,
-        ("0x1.f7faaa0dca2edp-1", "0x1.0b9915a31f330p-7"), "0x1.95b26bd46c763p-39"),
-}
-
-
-@pytest.mark.parametrize("side", sorted(DRIFTING_COCYCLES))
-def test_inverse_drift_reinversion_matches_recorded_bits(side, monkeypatch):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ill_conditioned_eigenbasis_matches_reference(side):
+    # M = S R(0.7) S^-1 with S = [[1, 8], [0, 1]]: cond(S) ~ 66, so roundoff in
+    # mu^-n and in S diag(mu^-n) S^-1 is amplified by up to cond(S)^2 per step.
     s = np.array([[1.0, 8.0], [0.0, 1.0]], dtype=complex)
     m = s @ rotation(0.7) @ np.linalg.inv(s)
-    inv = np.linalg.inv
-    calls = []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
     pair = MP.MatrixSequencePair(2, lambda i: m + E * (1e-4 * 0.9**i), lambda i: m, side=side)
     res = MP.cocycle_limit(pair, 1e-9)
-    f_sha, n, det_f, delta = DRIFTING_COCYCLES[side]
-    assert len(calls) == 3
-    assert hashlib.sha256(res.f.tobytes()).hexdigest() == f_sha
-    assert res.n_terms == n
-    assert (res.det_f.real.hex(), res.det_f.imag.hex()) == det_f
-    assert res.last_delta.hex() == delta
+    assert res.n_terms == 194  # a window stop
+    m_mp, e_mp = mpref.to_mp(m), mpref.to_mp(E)
+    exact = mpref.partial_cocycle(lambda i: m_mp + mpref.mp.mpf(1e-4 * 0.9**i) * e_mp, m, res.n_terms, side)
+    bound = res.n_terms * np.linalg.cond(s) ** 2 * np.finfo(float).eps
+    assert mpref.max_abs_error(res.f, exact) < bound
+
+
+class TestCocycleReference:
+    """cocycle_limit against 40-digit references that share no code with it."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_commuting_closed_form(self, reasons, side, tol):
+        # D_i = M (I + r^i E), M = S diag(mu) S^-1, E = S diag(x^2) S^-1:
+        # F = S diag(prod (1 + x_j^2 r^i)) S^-1 on either side.
+        s = np.array([[1.0, 0.4 - 0.3j], [0.2 + 0.5j, 1.0]])
+        xs, r = (0.6, 0.35), 0.5
+        m = s @ np.diag(np.exp(1j * np.array([0.3, 2.1]))) @ np.linalg.inv(s)
+        me = m @ s @ np.diag(np.square(xs)) @ np.linalg.inv(s)
+        pair = MP.MatrixSequencePair(2, lambda i: m + r**i * me, lambda i: m,
+                                     geometric_tail(MP.entry_norm(me), r), side=side)
+        res = MP.cocycle_limit(pair, tol)
+        assert reasons == ["tail-bound"]
+        assert mpref.max_abs_error(res.f, mpref.commuting_cocycle(s, xs, r)) < tol
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_commuting_geometric(self, reasons, side):
+        s = np.array([[1.0, 2.0], [0.5, 1.5]], dtype=complex)
+        m = s @ rotation(1.1) @ np.linalg.inv(s)
+        pair = MP.MatrixSequencePair(2, lambda i: m + 0.5**i * E, lambda i: m,
+                                     geometric_tail(MP.entry_norm(E), 0.5), side=side)
+        res = MP.cocycle_limit(pair, 1e-11)
+        assert reasons == ["tail-bound"]
+        m_mp, e_mp = mpref.to_mp(m), mpref.to_mp(E)
+        limit = mpref.partial_cocycle(lambda i: m_mp + mpref.mp.mpf(0.5) ** i * e_mp, m,
+                                      mpref.negligible_index(0.5), side)
+        assert mpref.max_abs_error(res.f, limit) < 1e-11
+
+
+class TestCocycleBlocks:
+    """Blocks of steps behave as a step-by-step loop at their edges."""
+
+    @pytest.mark.parametrize("max_terms", [1, 16, 20, 49, 200])
+    def test_no_factor_past_max_terms(self, max_terms):
+        m = rotation(0.7)
+        calls = []
+        pair = MP.MatrixSequencePair(2, lambda i: calls.append(i) or m + E / (i * i), lambda i: m)
+        with pytest.raises(BudgetExceededError, match=f"after {max_terms} factors"):
+            MP.cocycle_limit(pair, 1e-12, max_terms)
+        assert calls == list(range(1, max_terms + 1))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("tail", [None, geometric_tail(MP.entry_norm(E), 0.5), lambda n: 0.0])
+    def test_at_most_one_block_past_the_stop(self, side, tail):
+        m = rotation(0.7)
+        calls = []
+        pair = MP.MatrixSequencePair(2, lambda i: calls.append(i) or m + 0.5**i * E, lambda i: m, tail, side=side)
+        res = MP.cocycle_limit(pair, 1e-10)
+        assert calls == list(range(1, len(calls) + 1))
+        assert res.n_terms <= len(calls) < res.n_terms + MP.BLOCK_STEPS[-1]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("singular_at, flag", [(1, False), (2, True)])
+    def test_d_all_nonsingular_counts_only_steps_to_the_stop(self, side, singular_at, flag):
+        m = rotation(0.7)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        pair = MP.MatrixSequencePair(2, lambda i: singular if i == singular_at else m, lambda i: m,
+                                     lambda n: 0.0, side=side)
+        res = MP.cocycle_limit(pair, 1e-10)  # a zero tail bound stops at n = 1
+        assert res.n_terms == 1
+        assert res.d_all_nonsingular is flag
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([[1.0, 1.0], [0.0, 1.0]], "not \\(numerically\\) diagonalizable"),
+            ([[1.0, 0.0], [0.0, 0.0]], "modulus 0"),
+            ([[0.0, -1.0], [1.0 + 1e-6, 0.0]], "not 1"),
+        ],
+        ids=["jordan", "singular", "off-circle"],
+    )
+    def test_bad_m_rejected_before_any_factor(self, m, message):
+        m = np.array(m, dtype=complex)
+        pair = MP.MatrixSequencePair(2, never_called, lambda i: m, lambda n: 0.5**n)
+        with pytest.raises(UnboundedMProductsError, match=message):
+            MP.cocycle_limit(pair)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_factor_raises_at_its_index(self, side, bad):
+        # max(1.0, nan) is 1.0, so a NaN factor once let the loop stop on
+        # the tail bound with an all-NaN F.
+        m = rotation(0.7)
+        d_seq = lambda i: np.full((2, 2), bad) if i == 5 else m + 0.5**i * E
+        pair = MP.MatrixSequencePair(2, d_seq, lambda i: m, lambda n: 0.5**n, side=side)
+        with pytest.raises(InvalidFactorError, match="D_5 is not finite") as info:
+            MP.cocycle_limit(pair, 1e-9)
+        assert info.value.n == 5
+
+    def test_non_finite_factor_past_the_stop_is_not_reached(self):
+        m = rotation(0.7)
+        pair = MP.MatrixSequencePair(2, lambda i: np.full((2, 2), math.nan) if i == 5 else m, lambda i: m,
+                                     lambda n: 0.0)
+        assert MP.cocycle_limit(pair).n_terms == 1
 
 
 class TestCocycleSteps:
@@ -507,9 +576,17 @@ class TestCocycleSteps:
             return np.zeros((2, 2)) if i == step else m
 
         pair = MP.MatrixSequencePair(2, d_seq, m_seq, side=side)
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        if step == 1:  # M itself is singular: rejected before any D_i
+            with pytest.raises(UnboundedMProductsError, match="modulus 0"):
+                MP.cocycle_limit(pair, 1e-12)
+            assert formed == {"d": 0, "m": 1}
+            return
+        with pytest.raises(InvalidFactorError, match=f"M_{step} differs") as info:
             MP.cocycle_limit(pair, 1e-12)
-        assert formed == {"d": step, "m": step}
+        assert info.value.n == step
+        # the rest of step's block is formed, nothing after it; M_1 once more up front
+        assert step <= formed["d"] < step + MP.BLOCK_STEPS[-1]
+        assert formed["m"] == formed["d"] + 1
 
     def test_entry_norm_calls_do_not_grow_per_step(self, monkeypatch):
         norm = MP.entry_norm
@@ -525,7 +602,7 @@ class TestCocycleSteps:
         pair = MP.MatrixSequencePair(2, lambda i: m + E / (i * i), lambda i: m)
         res = MP.cocycle_limit(pair, 5e-7)
         assert res.n_terms >= 1000
-        assert calls <= res.n_terms // MP.INVERSE_CHECK_EVERY + 2
+        assert calls <= 2
 
 
 # Factors built from plain lists, so that in a fresh interpreter the call is
@@ -557,5 +634,5 @@ class TestFreshInterpreter:
         assert proc.returncode == 0, proc.stderr
         namespace = {}
         exec(FIRST_USE_CASE, namespace)
-        assert namespace["answer"][1] > MP.INVERSE_CHECK_EVERY
+        assert namespace["answer"][1] > sum(MP.BLOCK_STEPS)  # several blocks
         assert proc.stdout.splitlines() == ["False", repr(namespace["answer"])]

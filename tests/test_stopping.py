@@ -20,22 +20,6 @@ from cflimits.sphere import chordal_distance
 GOLDEN = cf.ContinuedFraction(1.0, lambda n: (1.0, 1.0))
 
 
-@pytest.fixture
-def reasons(monkeypatch):
-    """Every stop reason a Monitor returns while the test runs, in order."""
-    seen = []
-    update = cf.Monitor.update
-
-    def spy(self, delta, tail_bound=None):
-        reason = update(self, delta, tail_bound)
-        if reason is not None:
-            seen.append(reason)
-        return reason
-
-    monkeypatch.setattr(cf.Monitor, "update", spy)
-    return seen
-
-
 def without_tail(spec):
     return EllipticCFSpec(spec.alpha, spec.beta, spec.p, spec.q)
 

@@ -11,7 +11,7 @@ import pathlib
 
 import cflimits
 
-LIMIT = 69
+LIMIT = 67
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
