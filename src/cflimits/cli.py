@@ -315,7 +315,6 @@ def cmd_limit_set(config: dict, args: argparse.Namespace) -> int:
             "B": [_ser_complex(v) for v in report.residue.B],
             "values": [_ser_point(v) for v in report.residue.values],
             "det_identity_residual": report.residue.det_identity_residual,
-            "closed_form_residual": report.residue.closed_form_residual,
         },
         "suspicious_order": report.suspicious_order,
         "n_terms": report.n_terms,

@@ -428,9 +428,8 @@ class ResidueLimitsResult:
     ``A[i]`` and ``B[i]`` are the limits of P and Q along n = i (mod m);
     ``values[i]`` their quotient on the sphere.  ``rank`` counts the
     distinct quotients, m / gcd(b - a, m) in terms of the root exponents.
-    The diagnostics record how far the measured limits sit from the
-    two-term closed forms, from the determinant identity along consecutive
-    residues, and from exact rank-periodicity.
+    The diagnostics record how far h sits from the determinant identity
+    along consecutive residues, and the values from exact rank-periodicity.
     """
 
     m: int
@@ -439,23 +438,24 @@ class ResidueLimitsResult:
     B: tuple[complex, ...]
     values: tuple[ExtendedComplex, ...]
     distinct_values: tuple[ExtendedComplex, ...]
-    product: complex
     det_product: complex
     n_terms: int
-    closed_form_residual: float
     det_identity_residual: float
     periodicity_residual: float
 
 
 def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsResult:
-    """Measure A_i = lim P_{mk+i}, B_i = lim Q_{mk+i} for root-of-unity data.
+    """A_i = lim P_{mk+i}, B_i = lim Q_{mk+i} for root-of-unity data, read off h.
 
     Requires alpha and beta to be exact roots of unity; m is the least
-    common order.  Convergence is declared when whole blocks of 2m values
-    are stable across ``BLOCK_WINDOW`` consecutive periods (or the tail bound
-    certifies it).  The closed forms reconstructing A_i from (A_0, A_1),
-    the determinant identity, and the rank periodicity are all evaluated
-    and reported as residuals.
+    common order.  P_{n-1} = (alpha^n a_n + beta^n b_n)/(alpha - beta) for
+    the limit sequences of ``compute_h_direct`` and alpha^m = beta^m = 1, so
+    A_i = (alpha^(i+1) a + beta^(i+1) b)/(alpha - beta), and B_i likewise
+    from c, d.  An error e in each entry of h moves them by at most
+    2e/|alpha - beta|, hence h is computed to tol |alpha - beta|/2.  On these
+    A, B the determinant identity A_i B_(i-1) - A_(i-1) B_i =
+    -(alpha beta)^i prod(1 - q_n/(alpha beta)) reduces to det h =
+    det_product; the residual is their gap over |alpha - beta|.
     """
     alpha, beta = spec.alpha, spec.beta
     if not (alpha.is_exact_root and beta.is_exact_root):
@@ -465,55 +465,14 @@ def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsRes
     b_exp = int(beta.turns * m) % m
     rank = m // math.gcd(abs(b_exp - a_exp), m)
 
-    ab_unit = alpha * beta
-    ab = ab_unit.value
-    stream = _cf.convergents(build_cf(spec))
-    terms = _terms_with_q(spec)
-    product = 1.0 + 0.0j
-    block: list[tuple[complex, complex]] = [stream.unscaled()[::2]]  # index 0 holds P_0, Q_0
-    monitor = _cf.Monitor(
-        tol,
-        _cf.BLOCK_WINDOW,
-        lambda new, old: max(max(abs(x - u), abs(y - v)) for (x, y), (u, v) in zip(new, old)),
-    )
-    mag_bound = 1.0
-    for k in range(20_000):
-        while len(block) < m:
-            q_val, term = terms(stream.n + 1)
-            stream.step(term)
-            product *= 1.0 - q_val / ab
-            block.append(stream.unscaled()[::2])  # (P_n, Q_n)
-        mag_bound = max(mag_bound, max(abs(v) for pq in block for v in pq))
-        tail = None
-        if spec.tail_bound is not None and k >= 1:
-            # the first block entry P_{mk} carries the largest tail error
-            tail = 2.0 * mag_bound * spec.tail_bound(stream.n - m + 1)
-        if monitor.step(block, tail):
-            break
-        block = []
-    else:
-        raise monitor.exhausted("residue blocks not stable after 20000 periods")
-
-    A = tuple(pq[0] for pq in block)
-    B = tuple(pq[1] for pq in block)
-    values = tuple(projective(A[i], B[i]) for i in range(m))
-
-    av, bv = alpha.value, beta.value
-    closed = 0.0
-    for i in range(m):
-        ai = ((A[1] - bv * A[0]) * av**i + (av * A[0] - A[1]) * bv**i) / (av - bv)
-        bi = ((B[1] - bv * B[0]) * av**i + (av * B[0] - B[1]) * bv**i) / (av - bv)
-        closed = max(closed, abs(ai - A[i]), abs(bi - B[i]))
-
-    det_res = 0.0
-    for i in range(1, m):
-        lhs = A[i] * B[i - 1] - A[i - 1] * B[i]
-        rhs = -ab_unit.power_value(i) * product
-        det_res = max(det_res, abs(lhs - rhs))
-
-    period_res = 0.0
-    for j in range(m):
-        period_res = max(period_res, chordal_distance(values[j], values[(j + rank) % m]))
+    gap = alpha.value - beta.value
+    direct = compute_h_direct(spec, tol * abs(gap) / 2.0)
+    h = direct.h
+    powers = [(alpha.power_value(i + 1), beta.power_value(i + 1)) for i in range(m)]
+    A = tuple((x * h.a + y * h.b) / gap for x, y in powers)
+    B = tuple((x * h.c + y * h.d) / gap for x, y in powers)
+    values = tuple(projective(a, b) for a, b in zip(A, B))
+    period_res = max(chordal_distance(values[j], values[(j + rank) % m]) for j in range(m))
 
     return ResidueLimitsResult(
         m=m,
@@ -522,11 +481,9 @@ def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsRes
         B=B,
         values=values,
         distinct_values=distinct_values(values, DISTINCT_TOL),
-        product=product,
-        det_product=(bv - av) * product,
-        n_terms=stream.n,
-        closed_form_residual=closed,
-        det_identity_residual=det_res,
+        det_product=direct.det_product,
+        n_terms=direct.n_terms,
+        det_identity_residual=abs(h.det - direct.det_product) / abs(gap),
         periodicity_residual=period_res,
     )
 

@@ -234,6 +234,8 @@ def residue_matrix_limits(
 
     Along residue class j the partial products converge to F M^j for left
     products (trailing factors drift to M) and to M^j F for right products.
+    ``d_seq`` must be pure in n: a period whose product is not finite is read
+    again, and the first non-finite D_n raises InvalidFactorError at n.
     """
     _check_side(side)
     if order < 1:
@@ -252,6 +254,11 @@ def residue_matrix_limits(
             n += 1
             dn = np.asarray(d_seq(n), dtype=complex).reshape(d, d)
             product = product @ dn if side == "left" else dn @ product
+        if not np.isfinite(product).all():
+            for i in range(n - order + 1, n + 1):
+                if not np.isfinite(np.asarray(d_seq(i), dtype=complex)).all():
+                    raise InvalidFactorError(f"factor D_{i} is not finite", i)
+            raise InvalidFactorError(f"partial product is not finite after D_{n}", n)
         tail = None
         if tail_bound is not None and k >= 2:
             tail = d * max(1.0, entry_norm(product)) * order * tail_bound(n)

@@ -23,12 +23,8 @@ from typing import Callable, Iterator, Sequence
 
 from ._numpy import np
 from . import matprod as _mp
-from .cf import BLOCK_WINDOW, Monitor, renorm_exponent
-from .errors import (
-    BudgetExceededError,
-    RootsNotDistinctError,
-    RootsNotUnitModulusError,
-)
+from .cf import renorm_exponent
+from .errors import RootsNotDistinctError, RootsNotUnitModulusError
 from .limitset import UnitModulusNumber
 
 CoefficientRow = Callable[[int], Sequence[complex]]
@@ -197,7 +193,6 @@ class RecurrenceResidues:
     l: tuple[complex, ...]
     c: tuple[complex, ...]
     limit_recurrence_residual: float
-    representation_residual: float
 
 
 def residue_limits_recurrence(
@@ -207,41 +202,24 @@ def residue_limits_recurrence(
 ) -> RecurrenceResidues:
     """l_j = lim x_{nm+j} when every root is an exact root of unity.
 
-    m is the least common order.  The measured limits are checked against
-    the limit recurrence l_{n+p} = sum a_r l_{n+r} (periodic extension) and
-    against the representation l_n = sum c_i alpha_i^n.
+    m is the least common order.  Since x_n ~ sum c_i alpha_i^n and every
+    alpha_i^m = 1, the class limits are l_j = sum c_i alpha_i^j, read off
+    the coefficients of ``asymptotic_coefficients``.  They are checked
+    against the limit recurrence l_{n+p} = sum a_r l_{n+r} (periodic
+    extension).
     """
     orders = [r.order() for r in rec.roots]
     if any(o is None for o in orders):
         raise ValueError("residue limits need exact root-of-unity spectra")
     m = math.lcm(*orders)
     p = rec.order
-    if len(initial) != p:
-        raise ValueError(f"need {p} initial values")
-
-    values = _solution(rec.coefficients, initial)
-    monitor = Monitor(tol, BLOCK_WINDOW, lambda new, old: max(abs(x - y) for x, y in zip(new, old)))
-    for k in range(50_000):
-        block = [next(values) for _ in range(m)]
-        tail = None
-        if rec.tail_bound is not None and k >= 2:
-            tail = 2.0 * max(1.0, max(abs(v) for v in block)) * rec.tail_bound(k * m)
-        if monitor.step(block, tail):
-            break
-    else:
-        raise monitor.exhausted("residue blocks not stable after 50000 periods", BudgetExceededError)
-    l = tuple(block)
 
     coeffs = asymptotic_coefficients(rec, initial, tol)
-    rec_res = 0.0
-    for n in range(m):
-        predicted = sum(rec.limits[r] * l[(n + r) % m] for r in range(p))
-        rec_res = max(rec_res, abs(predicted - l[(n + p) % m]))
-    rep_res = 0.0
-    for n in range(m):
-        rep = sum(coeffs.c[i] * rec.roots[i].power_value(n) for i in range(p))
-        rep_res = max(rep_res, abs(rep - l[n]))
-    return RecurrenceResidues(m, l, coeffs.c, rec_res, rep_res)
+    l = tuple(sum(coeffs.c[i] * rec.roots[i].power_value(j) for i in range(p)) for j in range(m))
+    rec_res = max(
+        abs(sum(rec.limits[r] * l[(n + r) % m] for r in range(p)) - l[(n + p) % m]) for n in range(m)
+    )
+    return RecurrenceResidues(m, l, coeffs.c, rec_res)
 
 
 def perron_limsup_diagnostic(

@@ -15,6 +15,7 @@ rescaled by powers of two) to preserve that exactness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -51,11 +52,16 @@ class RSSystem:
             object.__setattr__(self, "theta_limit", np.asarray(self.theta_limit, dtype=complex))
             if self.theta_limit.shape != (self.n, self.n):
                 raise ValueError("theta_limit has the wrong shape")
-            _mp.unit_eigenbasis(self.theta_limit)
+            self.eigenbasis  # validates theta_limit
 
     @property
     def n(self) -> int:
         return self.r + self.s
+
+    @functools.cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``matprod.unit_eigenbasis(theta_limit)``, (mu, S, S^-1), decomposed once."""
+        return _mp.unit_eigenbasis(self.theta_limit)
 
     def factor(self, k: int) -> Matrix:
         m = np.asarray(self.theta(k), dtype=complex)
@@ -155,4 +161,4 @@ def rs_asymptotics(
         side="right",
     )
     result = _mp.cocycle_limit(pair, tol)
-    return RSAsymptotics(result.f, result.n_terms, sys.r, sys.s, _eigenbasis=_mp.unit_eigenbasis(theta))
+    return RSAsymptotics(result.f, result.n_terms, sys.r, sys.s, _eigenbasis=sys.eigenbasis)

@@ -1,8 +1,9 @@
-"""Independent 40-digit references for the matrix-product tests.
+"""Independent 40-digit references for the matrix-product and residue-limit tests.
 
 Only mpmath is used: no cflimits routine and nothing from the benchmark.
 Matrices come in as nested lists or numpy arrays of complex numbers and
-leave as ``mp.matrix``; ``max_abs_error`` compares a float answer with one.
+leave as ``mp.matrix``; ``max_abs_error`` compares a float answer with one,
+``max_abs_diff`` a float sequence with a list of mp numbers.
 """
 
 from mpmath import mp
@@ -57,3 +58,61 @@ def partial_cocycle(d_seq, m, n: int, side: str) -> mp.matrix:
             product = product * d_seq(i) if side == "left" else d_seq(i) * product
         inverse = m_inv ** n
         return product * inverse if side == "left" else inverse * product
+
+
+def unit_root(turns) -> mp.mpc:
+    """exp(2 pi i turns) for a rational number of turns (a ``Fraction``)."""
+    with mp.workdps(DPS):
+        return mp.expjpi(2 * mp.mpf(turns.numerator) / turns.denominator)
+
+
+def _class_start(m: int, ratio: float) -> int:
+    """The least multiple of m from which perturbations of decay ``ratio`` are negligible."""
+    return -(-negligible_index(ratio) // m) * m
+
+
+def residue_limits(alpha, beta, p, q, m: int, ratio: float) -> tuple[list, list]:
+    """(A_i, B_i) = lim (P_{mk+i}, Q_{mk+i}) for i < m, as mpc lists.
+
+    P_n, Q_n are the convergents of K((-alpha beta + q_n)/(alpha + beta + p_n))
+    with b_0 = 0, run straight through the three-term recurrence from
+    (P_-1, P_0) = (1, 0) and (Q_-1, Q_0) = (0, 1).  ``p(n)`` and ``q(n)``
+    return mp numbers and decay at least like ``ratio``^n; alpha and beta
+    are m-th roots of unity, so one whole period past the negligible index
+    holds the class limits.
+    """
+    start = _class_start(m, ratio)
+    with mp.workdps(DPS):
+        ab, s = alpha * beta, alpha + beta
+        p_prev, p_cur, q_prev, q_cur = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)
+        A, B = [], []
+        for n in range(1, start + m):
+            a_n, b_n = -ab + q(n), s + p(n)
+            p_prev, p_cur = p_cur, b_n * p_cur + a_n * p_prev
+            q_prev, q_cur = q_cur, b_n * q_cur + a_n * q_prev
+            if n >= start:
+                A.append(p_cur)
+                B.append(q_cur)
+        return A, B
+
+
+def recurrence_residues(rows, initial, m: int, ratio: float) -> list:
+    """l_j = lim x_{mk+j} for j < m, as mpc, of x_{n+p} = sum_r a_{n,r} x_{n+r}.
+
+    ``rows(n)`` returns (a_{n,0}, ..., a_{n,p-1}) as mp numbers; the rows
+    converge like ``ratio``^n to limits whose roots are m-th roots of unity.
+    """
+    start = _class_start(m, ratio)
+    with mp.workdps(DPS):
+        xs = [mp.mpc(complex(v)) for v in initial]
+        order = len(xs)
+        for n in range(start + m - order):
+            row = rows(n)
+            xs.append(mp.fsum(row[r] * xs[n + r] for r in range(order)))
+        return xs[start:start + m]
+
+
+def max_abs_diff(answer, reference) -> float:
+    """Largest |answer_i - reference_i| over two sequences of numbers, as a float."""
+    with mp.workdps(DPS):
+        return float(max(abs(mp.mpc(complex(a)) - r) for a, r in zip(answer, reference, strict=True)))

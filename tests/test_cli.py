@@ -596,16 +596,16 @@ RECORDED = {
     "ls-irrational": "5d32371e85965f43afe581ae4c15d888c1d4cf370ace0107656399ad24cc9b28",
     "ls-line": "16b9d0d04821b315ed3946de8fe720e1867e9e8a02ee6449da029cd517b2474c",
     "ls-order17": "73e6390b25dda162ccf2aa4d02d4f2027d95a488f5af9463d7acd1ecfac00759",
-    "ls-polyqn": "d216bc23e5ec49b264751ce080cda590a730153c36eb47fd3f3e9d9f3da3d0ae",
+    "ls-polyqn": "93332afe1a1bfd3fc48d2213b3648217c721a0400505278d52a4d76e5849d9ee",
     "mp-cocycle-left": "cd6f7131fb42f80663610f00a450230a34f90ec6c324e77355d18bb2a0e877be",
     "mp-cocycle-right": "9e7b078517793b4728b06b76b2222db4c5fd291c7bb43f5be8abb30e7ed6970a",
     "mp-residue": "b43f0db11765a9de0d65a01270c5f5a07e056bc6165828d56dd94338e703a5b4",
     "rec-nopert": "74a1c720c46ddbfda61e7e07d43c72d86575e9ae8286e7f4090611b896fd2560",
     "rec-pert": "e59e80dcf3ec8dbfa5bf25f6749e66006ced61505cc9ec5ac580046fcb92c7e3",
     "rs-cf": "26531b37c0dd3ca7b11c493f80bb545d20461ba3d46ae28e8f1ec1a741abcd4d",
-    "verify-default": "368ecf00e2d457ea6acf1000e03b32333b6d5031e82b9bdfee54463493a38811",
+    "verify-default": "9d11971d821856508a0768011afe7c9d9f9548bdb4390b9bb948dcfdbaff28e8",
     "verify-fail": "bcdf3bad10dda956b45bf75f4f4c389a15c9af0c7ccaaa365a6b590b729e7077",
-    "verify-pass": "4317c5337fc3fe3de31792120188904d081b6878fe05441c249e6a6fb6c7fdfa",
+    "verify-pass": "99d85a58c3dff99063f8d56578191c79b69e1ef35357286a36236f5249f9b6dd",
 }
 
 

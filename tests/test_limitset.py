@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mpref
 from cflimits import cf as C
 from cflimits import limitset as L
 from cflimits.errors import (
@@ -534,6 +535,11 @@ class TestConcentration:
         assert geometry.radius == pytest.approx(abs(direct.det_product) / denom, rel=1e-6)
 
 
+def mp_geometric(coeff, ratio):
+    """n -> coeff * ratio^n at the reference's precision."""
+    return lambda n: mpref.mp.mpc(coeff) * mpref.mp.mpf(ratio) ** n
+
+
 class TestResidueLimits:
     def test_stern_stolz_determinant(self):
         spec = L.geometric_spec(U.root_of_unity(0, 1), U.root_of_unity(1, 2), 1.0, 1.0 / 3.0)
@@ -573,9 +579,55 @@ class TestResidueLimits:
             U.root_of_unity(1, 8), U.root_of_unity(7, 8), 0.7, 0.3, 0.3j, 0.25
         )
         res = L.residue_limits(spec, 1e-12)
-        assert res.closed_form_residual < 1e-8
+        A, B = mpref.residue_limits(
+            mpref.unit_root(Fraction(1, 8)), mpref.unit_root(Fraction(7, 8)),
+            mp_geometric(0.7, 0.3), mp_geometric(0.3j, 0.25), 8, 0.3,
+        )
+        assert mpref.max_abs_diff(res.A, A) <= 1e-12
+        assert mpref.max_abs_diff(res.B, B) <= 1e-12
         assert res.periodicity_residual < 1e-8
         assert res.det_identity_residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "alpha, beta, p, q, tol",
+        [
+            (Fraction(0), Fraction(1, 2), (1.0, 1.0 / 3.0), (0.0, 0.0), 1e-11),  # Stern-Stolz
+            (Fraction(1, 6), Fraction(5, 6), (1.0, 1.0 / 7.0), (1.0, 0.2), 1e-11),
+            (Fraction(4, 9), Fraction(7, 10), (1.0, 0.3), (1.0, 0.2), 1e-11),
+            # Adjacent roots, |alpha - beta| = 2 sin(pi/960), about 0.0065.  In
+            # double precision the terms' rounding moves the roots by about
+            # eps/|1 - lambda|, which the 2/|alpha - beta| of the closed form
+            # turns into an error near 1e-11 in A and B (1.19e-11 at tol 1e-11),
+            # so the case is held to the benchmark's tol.
+            (Fraction(7, 960), Fraction(8, 960), (0.3 + 0.1j, 0.25), (0.1 - 0.2j, 0.2), 1e-10),
+        ],
+        ids=["stern-stolz", "m6", "4/9,7/10", "m960-adjacent"],
+    )
+    def test_matches_40_digit_reference(self, alpha, beta, p, q, tol):
+        spec = L.geometric_spec(U(alpha), U(beta), p[0], p[1], q[0], q[1])
+        res = L.residue_limits(spec, tol)
+        A, B = mpref.residue_limits(
+            mpref.unit_root(alpha), mpref.unit_root(beta), mp_geometric(*p), mp_geometric(*q),
+            res.m, max(p[1], q[1]),
+        )
+        assert res.m == math.lcm(alpha.denominator, beta.denominator)
+        assert mpref.max_abs_diff(res.A, A) <= tol
+        assert mpref.max_abs_diff(res.B, B) <= tol
+
+    def test_q_cf_matches_40_digit_reference(self):
+        f, g, base = (0.0, 1.0, 0.5j), (0.0, 0.8), 0.3 + 0.2j
+        res = L.q_cf_rank(f, g, U.root_of_unity(1, 5), U.root_of_unity(3, 5), base)
+        qb = mpref.mp.mpc(base)
+
+        def poly(coeffs):
+            return lambda n: mpref.mp.fsum(c * qb ** (n * j) for j, c in enumerate(coeffs))
+
+        A, B = mpref.residue_limits(
+            mpref.unit_root(Fraction(1, 5)), mpref.unit_root(Fraction(3, 5)), poly(f), poly(g), 5, abs(base),
+        )
+        assert res.rank == 5
+        assert mpref.max_abs_diff(res.A, A) <= 1e-11
+        assert mpref.max_abs_diff(res.B, B) <= 1e-11
 
     def test_rank_formula_exhaustive(self):
         rng = random.Random(2)

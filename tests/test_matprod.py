@@ -209,6 +209,24 @@ class TestResidueMatrixLimits:
             p = p @ d_seq(n)
         assert MP.entry_norm(p - res.residue_limits[0]) < 1e-9
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_factor_raises_at_its_index(self, side, bad):
+        # max(1.0, nan) is 1.0, so a NaN product once stopped on the tail
+        # bound after 10 blocks with an all-NaN F.
+        m = rotation(math.pi / 2.0)
+        d_seq = lambda n: np.full((2, 2), bad) if n == 5 else m + 0.5**n * E
+        with pytest.raises(InvalidFactorError, match="D_5 is not finite") as info:
+            MP.residue_matrix_limits(d_seq, m, 4, side=side, tail_bound=lambda n: 0.5**n)
+        assert info.value.n == 5
+
+    def test_overflowing_product_raises_after_its_period(self):
+        m = rotation(math.pi / 2.0)
+        d_seq = lambda n: 1e200 * m if n <= 2 else m
+        with pytest.raises(InvalidFactorError, match="partial product is not finite after D_4") as info:
+            MP.residue_matrix_limits(d_seq, m, 4, tail_bound=lambda n: 0.0)
+        assert info.value.n == 4
+
     def test_wrong_order_rejected(self):
         with pytest.raises(MNotFiniteOrderError):
             MP.residue_matrix_limits(lambda n: rotation(1.0), rotation(1.0), 3, 1e-10)

@@ -1,9 +1,11 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mpref
 from cflimits import limitset as L
 from cflimits import recur as R
 from cflimits.errors import RootsNotDistinctError, RootsNotUnitModulusError
@@ -148,7 +150,39 @@ class TestResidueLimitsRecurrence:
         )
         res = R.residue_limits_recurrence(rec, (1.0, 1.5), 1e-11)
         assert res.limit_recurrence_residual < 1e-8
-        assert res.representation_residual < 1e-8
+        one, half = mpref.mp.mpf(1), mpref.mp.mpf(0.5)
+        l = mpref.recurrence_residues(lambda n: (one + half**n, 0), (1.0, 1.5), 2, 0.5)
+        assert mpref.max_abs_diff(res.l, l) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "roots, perturbations",
+        [
+            ((Fraction(1, 6), Fraction(-1, 6)), ((0.5, 0.4), (0.0, 0.0))),
+            ((Fraction(1, 3), Fraction(2, 3)), ((0.0, 0.0), (1.0, 0.5))),
+            ((Fraction(4, 9), Fraction(7, 10)), ((0.3 - 0.1j, 0.4), (0.2j, 0.5))),
+        ],
+        ids=["m6", "m3", "4/9,7/10"],
+    )
+    def test_matches_40_digit_reference(self, roots, perturbations):
+        # x_{n+2} = (alpha + beta + e1 r1^n) x_{n+1} + (-alpha beta + e0 r0^n) x_n
+        alpha, beta = (U(t) for t in roots)
+        limits = (-(alpha * beta).value, alpha.value + beta.value)
+        (e0, r0), (e1, r1) = perturbations
+        rec = R.PoincareRecurrence.build(
+            lambda n: (limits[0] + e0 * r0**n, limits[1] + e1 * r1**n),
+            limits,
+            roots=(alpha, beta),
+            tail_bound=lambda n: abs(e0) * r0 ** (n + 1) / (1.0 - r0) + abs(e1) * r1 ** (n + 1) / (1.0 - r1),
+        )
+        res = R.residue_limits_recurrence(rec, (1.0, 0.5 - 0.25j), 1e-11)
+        mp = mpref.mp
+
+        def rows(n):
+            return tuple(mp.mpc(v) + mp.mpc(e) * mp.mpf(r) ** n for v, (e, r) in zip(limits, perturbations))
+
+        l = mpref.recurrence_residues(rows, (1.0, 0.5 - 0.25j), res.m, max(r0, r1))
+        assert res.m == math.lcm(*(t.denominator for t in roots))
+        assert mpref.max_abs_diff(res.l, l) <= 1e-11
 
     def test_cube_root_spectrum_three_limits(self):
         # roots e^{+-2 pi i/3}: t^2 + t + 1, so a_1 = -1, a_0 = -1.

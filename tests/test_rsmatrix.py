@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cflimits import cf as C
+from cflimits import matprod as MP
 from cflimits import rsmatrix as RS
 from cflimits.errors import SingularBError
 
@@ -165,6 +166,23 @@ class TestAsymptotics:
                 np.linalg.matrix_power(perm, j) @ asym.f_matrix, 1, 2
             )
             assert np.max(np.abs(sk - target)) < 1e-8
+
+    def test_theta_limit_decomposed_once_per_system(self, monkeypatch):
+        # The system keeps the basis it validated theta_limit with; only
+        # cocycle_limit decomposes its M again.
+        calls = []
+        unit_eigenbasis = MP.unit_eigenbasis
+        monkeypatch.setattr(MP, "unit_eigenbasis", lambda m: calls.append(m) or unit_eigenbasis(m))
+        theta = np.array([[0.0, 1.0], [-1.0, 4.0 / 3.0]], dtype=complex)
+        system = RS.RSSystem(
+            1, 1, lambda k: theta + np.array([[0.0, 0.0], [0.2**k, 0.0]]), theta, lambda n: 0.2 ** (n + 1) / 0.8
+        )
+        asym = RS.rs_asymptotics(system, 1e-12)
+        assert len(calls) == 2
+        RS.rs_asymptotics(system, 1e-12)
+        assert len(calls) == 3
+        mu, s, s_inv = unit_eigenbasis(theta)
+        assert np.array_equal(asym.theta_power(7), s @ np.diag(mu**7) @ s_inv)
 
     def test_missing_limit_rejected(self):
         system = RS.RSSystem(1, 1, lambda k: np.eye(2, dtype=complex))

@@ -153,9 +153,10 @@ class TestPinnedStops:
 
     @pytest.mark.parametrize(
         "variant, n, reason",
-        [(None, 23, "tail-bound"), (without_tail, 47, "window"), (unperturbed, 11, "tail-bound")],
+        [(None, 16, "tail-bound"), (without_tail, 31, "window"), (unperturbed, 1, "tail-bound")],
     )
     def test_residue_limits(self, sixth_root_spec, reasons, variant, n, reason):
+        # The residue limits are read off h, so this is compute_h_direct's stop.
         spec = sixth_root_spec if variant is None else variant(sixth_root_spec)
         assert limitset.residue_limits(spec).n_terms == n
         assert reasons == [reason]
@@ -198,10 +199,10 @@ class TestPinnedStops:
         assert reasons == [reason]
 
     @pytest.mark.parametrize(
-        "tail, blocks, reason",
-        [(cf.geometric_tail(0.5, 0.4), 6, "tail-bound"), (None, 9, "window"), (ZERO_TAIL, 3, "tail-bound")],
+        "tail, n, reason",
+        [(cf.geometric_tail(0.5, 0.4), 27, "tail-bound"), (None, 40, "window"), (ZERO_TAIL, 1, "tail-bound")],
     )
-    def test_residue_limits_recurrence(self, reasons, tail, blocks, reason):
+    def test_residue_limits_recurrence(self, monkeypatch, reasons, tail, n, reason):
         # x_{n+2} = x_{n+1} - x_n perturbed by 0.5 * 0.4^n; roots exp(+-i pi/3).
         rows = []
 
@@ -215,14 +216,19 @@ class TestPinnedStops:
             roots=(UnitModulusNumber.root_of_unity(1, 6), UnitModulusNumber.root_of_unity(-1, 6)),
             tail_bound=tail,
         )
+        cocycle_limit = matprod.cocycle_limit
+        read_before = []
+
+        def spy(pair, tol):
+            read_before.append(len(rows))
+            return cocycle_limit(pair, tol)
+
+        monkeypatch.setattr(matprod, "cocycle_limit", spy)
         recur.residue_limits_recurrence(rec, [1.0, 0.5])
-        # The block loop reads rows 0, 1, ... before the coefficient
-        # extraction starts again from row 0; the last value of the last
-        # block needs no row of its own.
-        read = next(i for i in range(1, len(rows)) if rows[i] <= rows[i - 1])
-        assert (read + 1) // 6 == blocks
-        # The first stop is the block loop's; the cocycle run follows it.
-        assert reasons[0] == reason
+        # The cocycle run is the only loop: no row is read before it starts.
+        assert read_before == [0]
+        assert rows[: n + 1] == list(range(n + 1))
+        assert reasons == [reason]
 
 
 @pytest.fixture
@@ -248,11 +254,14 @@ def _spinning_recurrence():
 
 
 # Non-converging inputs with the smallest budget each loop allows: a step
-# count where it is a parameter, else the smallest period (residue_limits:
-# alpha = 1, beta = -1 with a_n = -1, so P_n, Q_n cycle with period 4 and
-# blocks of 2 alternate in sign; residue_matrix_limits: order 1 with a
-# rotation that never settles).  The last field is the last step where it
-# is known in closed form: |q_n| = 0.5 and |x_n - x_{n-1}| = 2.
+# count where it is a parameter, else the default budget at the smallest
+# period (residue_matrix_limits: order 1 with a rotation that never
+# settles) or of the loop the routine runs (residue_limits: compute_h_direct
+# on alpha = 1, beta = -1 with a_n = -1, where P_n, Q_n cycle with period 4
+# and the limit sequences flip by 2; residue_limits_recurrence:
+# cocycle_limit on x_{n+1} = -x_n).  The last field is the last step where
+# it is known in closed form: |q_n| = 0.5, and 2 for a sequence flipping
+# between +-1.
 BUDGET_CASES = {
     "compute_h_direct": (
         lambda spec: limitset.compute_h_direct(spec, 1e-10, 5),
@@ -269,7 +278,7 @@ BUDGET_CASES = {
             UnitModulusNumber.root_of_unity(0, 1), UnitModulusNumber.root_of_unity(1, 2),
             lambda n: 0.0, lambda n: -2.0,
         )),
-        NoConvergenceError, "residue blocks not stable after 20000 periods", 20_000, None,
+        NoConvergenceError, "limit sequences not stable after 100000 terms", 100_000, 2.0,
     ),
     "cocycle_limit": (
         lambda spec: matprod.cocycle_limit(
@@ -283,7 +292,7 @@ BUDGET_CASES = {
     ),
     "residue_limits_recurrence": (
         lambda spec: recur.residue_limits_recurrence(_spinning_recurrence(), [1.0]),
-        BudgetExceededError, "residue blocks not stable after 50000 periods", 50_000, 2.0,
+        BudgetExceededError, "cocycle not stable after 200000 factors", 200_000, 2.0,
     ),
 }
 
