@@ -208,24 +208,18 @@ def geometric_spec(
     )
 
 
-def _terms_with_q(spec: EllipticCFSpec) -> Callable[[int], tuple[complex, tuple[complex, complex]]]:
-    """n -> (q_n, (a_n, b_n)) with (a_n, b_n) the n-th term of ``build_cf(spec)``."""
+def build_cf(spec: EllipticCFSpec) -> _cf.ContinuedFraction:
+    """The fraction K((-alpha*beta + q_n)/(alpha + beta + p_n)), b0 = 0; q_n = alpha*beta raises."""
     ab = (spec.alpha * spec.beta).value
     absum = spec.alpha.value + spec.beta.value
 
-    def terms(n: int) -> tuple[complex, tuple[complex, complex]]:
+    def terms(n: int) -> tuple[complex, complex]:
         qn = complex(spec.q(n))
         if qn == ab:
             raise QEqualsAlphaBetaError(n)
-        return qn, (-ab + qn, absum + complex(spec.p(n)))
+        return -ab + qn, absum + complex(spec.p(n))
 
-    return terms
-
-
-def build_cf(spec: EllipticCFSpec) -> _cf.ContinuedFraction:
-    """The fraction K((-alpha*beta + q_n)/(alpha + beta + p_n)), b0 = 0."""
-    terms = _terms_with_q(spec)
-    return _cf.ContinuedFraction(0.0, lambda n: terms(n)[1])
+    return _cf.ContinuedFraction(0.0, terms)
 
 
 def tail_omega(alpha: UnitModulusNumber, beta: UnitModulusNumber, n: int) -> ExtendedComplex:
@@ -267,55 +261,54 @@ def compute_h_direct(
     tol: float = 1e-10,
     max_n: int = 100_000,
 ) -> DirectH:
-    """The map h from the four renormalization-corrected limit sequences.
-
-    Advances the convergents P_n, Q_n of the spec's fraction and tracks
+    """The map h, limit of the four renormalization-corrected sequences
 
         a_n = alpha^-n (P_n - beta P_{n-1}),   b_n = -beta^-n (P_n - alpha P_{n-1}),
-        c_n = alpha^-n (Q_n - beta Q_{n-1}),   d_n = -beta^-n (Q_n - alpha Q_{n-1}),
+        c_n = alpha^-n (Q_n - beta Q_{n-1}),   d_n = -beta^-n (Q_n - alpha Q_{n-1})
 
-    with the stream's power-of-two exponent undone.  Stops when all four are
-    stable within ``tol`` over ``STABILITY_WINDOW`` consecutive steps, or
-    when the spec's tail bound times the running magnitude bound drops
-    under ``tol``.
+    of the spec's convergents.  As P_n = (alpha + beta + p_n) P_{n-1} + (-alpha beta + q_n) P_{n-2},
+    a_n - a_{n-1} = alpha^-n (p_n P_{n-1} + q_n P_{n-2}), b_n - b_{n-1} is that times -beta^-n,
+    and c_n, d_n follow with Q for P.  So, with |alpha| = |beta| = 1, the step is
+    max(|p_n P_{n-1} + q_n P_{n-2}|, |p_n Q_{n-1} + q_n Q_{n-2}|), read off the stream's pairs
+    before the step; the four are formed once, at the stop.  Stops when the step is under
+    ``tol`` over ``STABILITY_WINDOW`` consecutive steps, or when 2 * max_{k<=n}(|P_k|, |Q_k|)
+    * tail_bound(n) is: each coefficient has at most tail_bound(n) * sup_{k>=n} |P_k| (or
+    |Q_k|) left to move, and twice the running magnitude bound estimates that supremum.
     Also accumulates (beta - alpha) * prod(1 - q_n/(alpha beta)), which the
     determinant of h must equal.
     """
     alpha, beta = spec.alpha, spec.beta
     a_val, b_val = alpha.value, beta.value
+    ab, absum = (alpha * beta).value, a_val + b_val
+    p, q, tail_bound = spec.p, spec.q, spec.tail_bound
     stream = _cf.convergents(build_cf(spec))
-    ab = (alpha * beta).value
-    terms, tail_bound = _terms_with_q(spec), spec.tail_bound
 
     monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
-    mag_bound = 1.0
+    mag_bound = scale = 1.0
     product = 1.0 + 0.0j
-    quad = None
+    delta = math.inf
     for n in range(1, max_n + 1):
-        q_val, term = terms(n)
-        stream.step(term)
-        product *= 1.0 - q_val / ab
-        pn, pm, qn, qm = stream.unscaled()
-        ainv = alpha.power_value(-n)
-        binv = beta.power_value(-n)
-        new = (
-            ainv * (pn - b_val * pm),
-            -binv * (pn - a_val * pm),
-            ainv * (qn - b_val * qm),
-            -binv * (qn - a_val * qm),
-        )
-        delta = math.inf if quad is None else max(
-            abs(new[0] - quad[0]), abs(new[1] - quad[1]), abs(new[2] - quad[2]), abs(new[3] - quad[3])
-        )
-        quad = new
-        mag_bound = max(mag_bound, abs(pn), abs(qn))
+        q_n = complex(q(n))
+        if q_n == ab:
+            raise QEqualsAlphaBetaError(n)
+        p_n = complex(p(n))
+        if n > 1:
+            delta = scale * max(abs(p_n * stream.num + q_n * stream.num_prev),
+                                abs(p_n * stream.den + q_n * stream.den_prev))
+        stream.step((-ab + q_n, absum + p_n))
+        product *= 1.0 - q_n / ab
+        scale = math.ldexp(1.0, stream.exponent)
+        mag_bound = max(mag_bound, abs(stream.num * scale), abs(stream.den * scale))
         tail = None if tail_bound is None else 2.0 * mag_bound * tail_bound(n)
         if monitor.update(delta, tail):
             break
     else:
         raise monitor.exhausted(f"limit sequences not stable after {max_n} terms")
-    det_product = (b_val - a_val) * product
-    return DirectH(MobiusMap(*quad), det_product, stream.n, monitor.last_delta)
+    pn, pm, qn, qm = stream.unscaled()
+    ainv, binv = alpha.power_value(-n), -beta.power_value(-n)
+    h = MobiusMap(ainv * (pn - b_val * pm), binv * (pn - a_val * pm),
+                  ainv * (qn - b_val * qm), binv * (qn - a_val * qm))
+    return DirectH(h, (b_val - a_val) * product, n, monitor.last_delta)
 
 
 def det_product(spec: EllipticCFSpec, tol: float = 1e-12, max_n: int = 100_000) -> complex:

@@ -1,4 +1,4 @@
-"""Independent 40-digit references for the matrix-product and residue-limit tests.
+"""Independent 40-digit references for the matrix-product, residue-limit and h tests.
 
 Only mpmath is used: no cflimits routine and nothing from the benchmark.
 Matrices come in as nested lists or numpy arrays of complex numbers and
@@ -66,34 +66,68 @@ def unit_root(turns) -> mp.mpc:
         return mp.expjpi(2 * mp.mpf(turns.numerator) / turns.denominator)
 
 
+def unit_angle(theta: float) -> mp.mpc:
+    """exp(i theta) for the exact binary value of a float angle."""
+    with mp.workdps(DPS):
+        return mp.expj(mp.mpf(theta))
+
+
 def _class_start(m: int, ratio: float) -> int:
     """The least multiple of m from which perturbations of decay ``ratio`` are negligible."""
     return -(-negligible_index(ratio) // m) * m
 
 
-def residue_limits(alpha, beta, p, q, m: int, ratio: float) -> tuple[list, list]:
-    """(A_i, B_i) = lim (P_{mk+i}, Q_{mk+i}) for i < m, as mpc lists.
+def _convergents(alpha, beta, p, q, stop: int):
+    """(n, P_{n-1}, P_n, Q_{n-1}, Q_n) for 1 <= n < stop, as mpc, at the caller's precision.
 
     P_n, Q_n are the convergents of K((-alpha beta + q_n)/(alpha + beta + p_n))
     with b_0 = 0, run straight through the three-term recurrence from
-    (P_-1, P_0) = (1, 0) and (Q_-1, Q_0) = (0, 1).  ``p(n)`` and ``q(n)``
-    return mp numbers and decay at least like ``ratio``^n; alpha and beta
-    are m-th roots of unity, so one whole period past the negligible index
-    holds the class limits.
+    (P_-1, P_0) = (1, 0) and (Q_-1, Q_0) = (0, 1); ``p(n)`` and ``q(n)``
+    return mp numbers.
+    """
+    ab, s = alpha * beta, alpha + beta
+    p_prev, p_cur, q_prev, q_cur = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)
+    for n in range(1, stop):
+        a_n, b_n = -ab + q(n), s + p(n)
+        p_prev, p_cur = p_cur, b_n * p_cur + a_n * p_prev
+        q_prev, q_cur = q_cur, b_n * q_cur + a_n * q_prev
+        yield n, p_prev, p_cur, q_prev, q_cur
+
+
+def residue_limits(alpha, beta, p, q, m: int, ratio: float) -> tuple[list, list]:
+    """(A_i, B_i) = lim (P_{mk+i}, Q_{mk+i}) for i < m, as mpc lists.
+
+    P_n, Q_n as in ``_convergents``; ``p(n)`` and ``q(n)`` decay at least
+    like ``ratio``^n, and alpha and beta are m-th roots of unity, so one
+    whole period past the negligible index holds the class limits.
     """
     start = _class_start(m, ratio)
     with mp.workdps(DPS):
-        ab, s = alpha * beta, alpha + beta
-        p_prev, p_cur, q_prev, q_cur = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)
         A, B = [], []
-        for n in range(1, start + m):
-            a_n, b_n = -ab + q(n), s + p(n)
-            p_prev, p_cur = p_cur, b_n * p_cur + a_n * p_prev
-            q_prev, q_cur = q_cur, b_n * q_cur + a_n * q_prev
+        for n, _, p_cur, _, q_cur in _convergents(alpha, beta, p, q, start + m):
             if n >= start:
                 A.append(p_cur)
                 B.append(q_cur)
         return A, B
+
+
+def rotated_convergents(alpha, beta, p, q, ns) -> dict:
+    """{n: [a_n, b_n, c_n, d_n]} as mpc for each n in ``ns``, where
+
+        a_n = alpha^-n (P_n - beta P_{n-1}),   b_n = -beta^-n (P_n - alpha P_{n-1}),
+
+    and c_n, d_n are the same with Q for P (P_n, Q_n as in ``_convergents``).
+    With unit-circle alpha != beta and summable p, q these converge to the
+    coefficients of the Moebius map h.
+    """
+    with mp.workdps(DPS):
+        quads = {}
+        for n, p_prev, p_cur, q_prev, q_cur in _convergents(alpha, beta, p, q, max(ns) + 1):
+            if n in ns:
+                ainv, binv = alpha ** -n, beta ** -n
+                quads[n] = [ainv * (p_cur - beta * p_prev), -binv * (p_cur - alpha * p_prev),
+                            ainv * (q_cur - beta * q_prev), -binv * (q_cur - alpha * q_prev)]
+        return quads
 
 
 def recurrence_residues(rows, initial, m: int, ratio: float) -> list:

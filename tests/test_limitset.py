@@ -245,7 +245,49 @@ class TestComputeHDirect:
             ("-0x1.2c3f667edf3c9p-1", "0x1.d9d49e4e27420p-8"),
         ]
         assert hex_pair(direct.det_product) == ("-0x1.5598cfee5bcc8p+0", "-0x1.aa4404362ab4ep-1")
-        assert direct.last_delta.hex() == "0x1.6a09e667f3bcdp-52"
+        assert direct.last_delta.hex() == "0x1.a900d134b90f3p-68"
+
+    @pytest.mark.parametrize("tail_bound", [None, "sound"])
+    def test_renormalized_stream_matches_recorded_bits(self, tail_bound):
+        # b_1 = -b_3 = 1e200 + ... and b_2 = 0 exactly, so Q_3 = 0 exactly:
+        # the stream runs at exponent 665 for two steps, then at 1 to the stop.
+        # The step and the magnitude bound must both undo the exponent; the
+        # bound holds 1e200 from Q_1, so the sound tail bound never fires.
+        alpha, beta = U.root_of_unity(1, 5), U.root_of_unity(3, 7)
+        s = alpha.value + beta.value
+        big = {1: 1e200, 2: -s, 3: -1e200 - 2 * s}
+        if tail_bound == "sound":
+            tail_bound = lambda n: 3e200 if n < 3 else 0.3 ** (n + 1) / 0.7 + 0.2 ** (n + 1) / 0.8
+        spec = L.EllipticCFSpec(
+            alpha, beta, p=lambda n: big.get(n, 0.3**n), q=lambda n: 0.0 if n in (2, 3) else 0.2**n * 1j,
+            tail_bound=tail_bound,
+        )
+        direct = L.compute_h_direct(spec, 1e-12)
+        assert direct.n_terms == 39
+        got = [hex_pair(c) for c in (direct.h.a, direct.h.b, direct.h.c, direct.h.d)]
+        assert got == [
+            ("-0x1.0eba48511360fp-1", "-0x1.0893224237a9bp+0"),
+            ("-0x1.232b1372aafcbp+0", "0x1.1b529e46f4830p-4"),
+            ("-0x1.eee47ca5f7e4dp-1", "0x1.130c8e5e09a23p-2"),
+            ("0x1.ec51756b98550p-1", "0x1.106fc72097c11p-2"),
+        ]
+        assert hex_pair(direct.det_product) == ("-0x1.5073f4c61d7b9p+0", "-0x1.862fd2916b446p-1")
+
+    def test_step_matches_40_digit_reference(self):
+        # alpha^-n is rounded in phase by about eps*n*|theta|; at |theta| ~ 1000
+        # that is ~1e-11 by n = 50, far above the true step at the stop.
+        theta_a, theta_b = 1000.0 + math.sqrt(11), math.sqrt(13)
+        spec = L.geometric_spec(U.from_angle(theta_a), U.from_angle(theta_b), 0.4 + 0.1j, 0.5, 0.3j, 0.6)
+        tol = 1e-10
+        direct = L.compute_h_direct(spec, tol)
+        n, far = direct.n_terms, mpref.negligible_index(0.6)
+        quads = mpref.rotated_convergents(
+            mpref.unit_angle(theta_a), mpref.unit_angle(theta_b),
+            lambda k: mpref.mp.mpc(spec.p(k)), lambda k: mpref.mp.mpc(spec.q(k)), (n - 1, n, far),
+        )
+        step = float(max(abs(x - y) for x, y in zip(quads[n], quads[n - 1])))
+        assert direct.last_delta == pytest.approx(step, rel=1e-12, abs=0.0)
+        assert mpref.max_abs_diff((direct.h.a, direct.h.b, direct.h.c, direct.h.d), quads[far]) < tol
 
     def test_q_equal_to_alpha_beta_raises_at_its_step(self):
         ab = (U.root_of_unity(1, 5) * U.root_of_unity(3, 7)).value
@@ -338,6 +380,23 @@ class TestComputeHDirectInverseSquare:
         assert min(counts) >= 1000 and len(counts) == 2
         short, long = (counts[n] for n in sorted(counts))
         assert short == long <= 2
+
+    def test_two_rotations_per_call(self, monkeypatch):
+        power_value = U.power_value
+        calls = 0
+
+        def counting(self, n):
+            nonlocal calls
+            calls += 1
+            return power_value(self, n)
+
+        monkeypatch.setattr(U, "power_value", counting)
+        counts = {}
+        for tol in self.RECORDED:
+            calls = 0
+            n_terms = L.compute_h_direct(inverse_square_spec(), tol).n_terms
+            counts[n_terms] = calls
+        assert counts == {1552: 2, 4857: 2}
 
 
 class TestComputeHViaModifications:
