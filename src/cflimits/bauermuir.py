@@ -4,10 +4,10 @@ Each transform rebuilds the divergent elliptic-type fraction into a new
 fraction that genuinely converges, to the modified limit at infinity, at
 zero, or at an arbitrary power of lambda = alpha/beta.  A coupling L_n or
 inner denominator E_n that vanishes truncates the companion fraction only
-where the perturbation left, ``spec.tail_bound(n - 1)`` or without a bound
-|p_n| + |q_n| as term n carries it, is at most ``ROUNDOFF`` (the unperturbed
-case, or p_n and q_n lost in the unit-size terms); anywhere else the
-transform does not exist and DegenerateTermError(n) is raised.
+where the spec bounds the perturbation left, ``spec.tail_bound(n - 1)``, by
+``ROUNDOFF`` (the unperturbed case, or p_n and q_n lost in the unit-size
+terms); anywhere else, and always without a tail bound, the transform does
+not exist and DegenerateTermError(n) is raised.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
             raise QEqualsAlphaBetaError(n)
         l_n = qn + bv * pn
         if l_n == 0:
-            _check_truncation(spec, n, abs(qn) + abs(pn))
+            _check_truncation(spec, n)
         return qn, pn, l_n
 
     def terms(n: int) -> tuple[complex, complex]:
@@ -94,10 +94,9 @@ def _bm_cf(spec: EllipticCFSpec, alpha: UnitModulusNumber, beta: UnitModulusNumb
     return _cf.ContinuedFraction(-bv, terms)
 
 
-def _check_truncation(spec: EllipticCFSpec, n: int, carried: float) -> None:
-    """Let a coupling vanishing at term n truncate only where the perturbation left is negligible."""
-    left = carried if spec.tail_bound is None else spec.tail_bound(n - 1)
-    if not left <= ROUNDOFF:
+def _check_truncation(spec: EllipticCFSpec, n: int) -> None:
+    """Let a coupling vanishing at term n truncate only where a tail bound shows nothing is left."""
+    if spec.tail_bound is None or not spec.tail_bound(n - 1) <= ROUNDOFF:
         raise DegenerateTermError(n)
 
 
@@ -119,7 +118,6 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
     if lam.is_exact_root:
         raise RootOfUnityLambdaError("alpha/beta is a root of unity")
     bv = spec.beta.value
-    ab, absum = (spec.alpha * spec.beta).value, spec.alpha.value + bv
     original = functools.lru_cache(maxsize=TERM_CACHE)(build_cf(spec).terms)
     kp = max(3, k + 3)
 
@@ -137,7 +135,7 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
         den = b + w(n)
         e_n = a - w(n - 1) * den
         if e_n == 0:
-            _check_truncation(spec, n, abs(a + ab) + abs(b - absum))
+            _check_truncation(spec, n)
         return e_n, den
 
     def terms(n: int) -> tuple[complex, complex]:

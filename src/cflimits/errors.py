@@ -105,9 +105,8 @@ class RootsNotUnitModulusError(CFLimitsError):
 class SingularBError(CFLimitsError):
     """The trailing block of a matrix is singular; the projection is undefined."""
 
-    def __init__(self, k: int | None = None):
-        super().__init__("singular trailing block" + (f" at index {k}" if k is not None else ""))
-        self.k = k
+    def __init__(self):
+        super().__init__("singular trailing block")
 
 
 class PoleInDenominatorError(CFLimitsError):

@@ -37,6 +37,7 @@ from .errors import (
 from .sphere import (
     INFINITY,
     INVERT_ABOVE,
+    LINE_RTOL,
     CircleOrLine,
     ExtendedComplex,
     MobiusMap,
@@ -169,10 +170,7 @@ class EllipticCFSpec:
     tail_bound: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if (
-            self.alpha.turns == self.beta.turns
-            and self.alpha.residual == self.beta.residual
-        ) or self.alpha.value == self.beta.value:
+        if self.alpha.value == self.beta.value:
             raise EqualAlphaBetaError("alpha and beta coincide")
 
     @functools.cached_property
@@ -407,7 +405,7 @@ def concentration_points(h: MobiusMap, m: int | None) -> Concentration:
     if abs(c) < 1e-14 * scale or abs(d) < 1e-14 * scale:
         return Concentration("uniform")
     ac, bd = a / c, b / d
-    if abs(abs(c) - abs(d)) < 1e-10 * (abs(c) + abs(d)):
+    if abs(abs(c) - abs(d)) < LINE_RTOL * (abs(c) + abs(d)):
         return Concentration("points", ExtendedComplex((ac + bd) / 2.0), INFINITY)
     highest = (ac * abs(c) + bd * abs(d)) / (abs(c) + abs(d))
     lowest = (-ac * abs(c) + bd * abs(d)) / (-abs(c) + abs(d))
@@ -420,7 +418,7 @@ class ResidueLimitsResult:
 
     ``A[i]`` and ``B[i]`` are the limits of P and Q along n = i (mod m);
     ``values[i]`` their quotient on the sphere.  ``rank`` counts the
-    distinct quotients, m / gcd(b - a, m) in terms of the root exponents.
+    distinct quotients: it is the order of lambda = alpha/beta.
     The diagnostics record how far h sits from the determinant identity
     along consecutive residues, and the values from exact rank-periodicity.
     """
@@ -450,16 +448,19 @@ def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsRes
     -(alpha beta)^i prod(1 - q_n/(alpha beta)) reduces to det h =
     det_product; the residual is their gap over |alpha - beta|.
     """
+    return _h_with_residues(spec, tol, 100_000)[1]
+
+
+def _h_with_residues(spec: EllipticCFSpec, tol: float, max_n: int) -> tuple[DirectH, ResidueLimitsResult]:
+    """h to tol |alpha - beta|/2 within ``max_n`` terms, and ``residue_limits`` read off it."""
     alpha, beta = spec.alpha, spec.beta
     if not (alpha.is_exact_root and beta.is_exact_root):
         raise ValueError("residue limits require alpha and beta to be exact roots of unity")
     m = math.lcm(alpha.order(), beta.order())
-    a_exp = int(alpha.turns * m) % m
-    b_exp = int(beta.turns * m) % m
-    rank = m // math.gcd(abs(b_exp - a_exp), m)
+    rank = spec.lambda_order().m
 
     gap = alpha.value - beta.value
-    direct = compute_h_direct(spec, tol * abs(gap) / 2.0)
+    direct = compute_h_direct(spec, tol * abs(gap) / 2.0, max_n)
     h = direct.h
     powers = [(alpha.power_value(i + 1), beta.power_value(i + 1)) for i in range(m)]
     A = tuple((x * h.a + y * h.b) / gap for x, y in powers)
@@ -467,7 +468,7 @@ def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsRes
     values = tuple(projective(a, b) for a, b in zip(A, B))
     period_res = max(chordal_distance(values[j], values[(j + rank) % m]) for j in range(m))
 
-    return ResidueLimitsResult(
+    return direct, ResidueLimitsResult(
         m=m,
         rank=rank,
         A=A,
@@ -626,31 +627,29 @@ def limit_set_report(
     tol: float = 1e-10,
     max_n: int = 200_000,
 ) -> LimitSetReport:
-    """Assemble the full report: map, geometry, concentration, residues."""
-    order = spec.lambda_order()
-    direct = compute_h_direct(spec, tol, max_n)
-    h_raw = direct.h
-    geometry = h_raw.image_of_unit_circle()
-    concentration = concentration_points(h_raw, order.m)
+    """Assemble the full report: map, geometry, concentration, residues.
 
+    On exact roots of unity the one h run is the residue limits' own, at
+    ``min(tol, 1e-11)``, and every part of the report is read off it.
+    """
+    order = spec.lambda_order()
+    if spec.alpha.is_exact_root and spec.beta.is_exact_root:
+        direct, residue = _h_with_residues(spec, min(tol, 1e-11), max_n)
+    else:
+        direct, residue = compute_h_direct(spec, tol, max_n), None
+    h_raw = direct.h
     limit_points = None
-    residue = None
-    rank: int | None = None
     if order.finite:
         lam = spec.lam
         limit_points = tuple(h_raw.apply(lam.power_value(j)) for j in range(order.m))
-        rank = order.m
-        if spec.alpha.is_exact_root and spec.beta.is_exact_root:
-            residue = residue_limits(spec, min(tol, 1e-11))
-            rank = residue.rank
 
     return LimitSetReport(
         h=h_raw.normalized(),
         h_raw=h_raw,
         m=order.m,
-        rank=rank,
-        geometry=geometry,
-        concentration=concentration,
+        rank=order.m,
+        geometry=h_raw.image_of_unit_circle(),
+        concentration=concentration_points(h_raw, order.m),
         det_product=direct.det_product,
         limit_points=limit_points,
         residue=residue,

@@ -107,18 +107,33 @@ class PoincareRecurrence:
         """x_0 .. x_{count-1} by direct iteration (values assumed bounded)."""
         if len(initial) != self.order:
             raise ValueError(f"need {self.order} initial values")
-        values = itertools.islice(_solution(self.coefficients, initial), count)
-        return np.fromiter(values, complex, count)
+        values = np.empty(count, complex)
+        exponents = np.empty(count, int)
+        for n, (x, exponent) in enumerate(itertools.islice(_solution(self.coefficients, initial), count)):
+            values[n], exponents[n] = x, exponent
+        values.real, values.imag = np.ldexp(values.real, exponents), np.ldexp(values.imag, exponents)
+        return values
 
 
-def _solution(coefficients: CoefficientRow, initial: Sequence[complex]) -> Iterator[complex]:
-    """x_0, x_1, ... of x_{n+p} = sum_r a_{n,r} x_{n+r}; row n is read once x_n is out."""
+def _solution(coefficients: CoefficientRow, initial: Sequence[complex]) -> Iterator[tuple[complex, int]]:
+    """(x_n 2**-e_n, e_n) for n = 0, 1, ... of x_{n+p} = sum_r a_{n,r} x_{n+r}.
+
+    Row n is read once x_n is out.  The state is rescaled exactly, by a
+    power of two, whenever its largest entry leaves [1e-100, 1e100], so
+    solutions neither overflow nor underflow; e_n is the exponent so far.
+    """
     state = [complex(v) for v in initial]
     p = len(state)
+    exponent = 0
     for n in itertools.count():
-        yield state[0]
+        yield state[0], exponent
         row = coefficients(n)
         state = state[1:] + [sum(complex(row[r]) * state[r] for r in range(p))]
+        k = renorm_exponent(max(map(abs, state)), 1e100)
+        if k:
+            s = math.ldexp(1.0, -k)
+            state = [complex(v.real * s, v.imag * s) for v in state]  # keeps signed zeros
+            exponent += k
 
 
 def _transfer_matrix(row: Sequence[complex], p: int) -> np.ndarray:
@@ -234,23 +249,9 @@ def perron_limsup_diagnostic(
     the iteration rescales its state by powers of two, so growing solutions
     do not overflow.
     """
-    p = len(initial)
-    state = [complex(v) for v in initial]
-    exponent = 0
     best = 0.0
-    lo = n_max // 2
     ln2 = math.log(2.0)
-    for n in range(n_max + 1):
-        if n >= lo and n >= 1:
-            mag = abs(state[0])
-            if mag > 0.0:
-                best = max(best, math.exp((math.log(mag) + exponent * ln2) / n))
-        row = coefficients(n)
-        nxt = sum(complex(row[r]) * state[r] for r in range(p))
-        state = state[1:] + [nxt]
-        k = renorm_exponent(max(abs(v) for v in state), 1e100)
-        if k:
-            s = math.ldexp(1.0, -k)
-            state = [v * s for v in state]
-            exponent += k
+    for n, (x, exponent) in enumerate(itertools.islice(_solution(coefficients, initial), n_max + 1)):
+        if n >= n_max // 2 and n >= 1 and abs(x) > 0.0:
+            best = max(best, math.exp((math.log(abs(x)) + exponent * ln2) / n))
     return best

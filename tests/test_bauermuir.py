@@ -62,6 +62,17 @@ class TestAtInfinity:
             BM.bm_at_infinity(spec).evaluate(1e-12)
         assert info.value.n == 2
 
+    def test_vanishing_coupling_without_tail_bound_raises(self):
+        # p_1 = q_1 = 0 makes L_1 vanish with no tail bound; truncating there
+        # returned -beta marked converged, 0.103 (chordal) off the modified limit.
+        alpha, beta = U.from_angle(math.sqrt(11)), U.from_angle(math.sqrt(13))
+        spec = L.EllipticCFSpec(
+            alpha, beta, lambda n: 0.3**n if n > 1 else 0.0, lambda n: 0.2**n if n > 1 else 0.0
+        )
+        with pytest.raises(DegenerateTermError) as info:
+            BM.bm_at_infinity(spec).evaluate(1e-12)
+        assert info.value.n == 1
+
     @pytest.mark.parametrize("transform", [BM.bm_at_infinity, BM.bm_at_zero])
     def test_q_equal_to_alpha_beta_rejected(self, worked_spec, transform):
         ab = (worked_spec.alpha * worked_spec.beta).value
@@ -207,11 +218,21 @@ class TestRecordedBits:
             return wrapped
 
         spec = L.EllipticCFSpec(
-            worked_spec.alpha, worked_spec.beta, counted("p", worked_spec.p), counted("q", worked_spec.q)
+            worked_spec.alpha, worked_spec.beta, counted("p", worked_spec.p), counted("q", worked_spec.q),
+            worked_spec.tail_bound,
         )
         n = self.transform(spec, which).evaluate(1e-12).n
         assert n == self.RECORDED[which][0]
         assert calls["p"] <= n + 1 and calls["q"] <= n + 1
+
+    def test_rounding_zero_without_tail_bound_raises(self, worked_spec):
+        # At k = 3, E_31 of the worked example rounds to exactly 0.  With the
+        # tail bound (under 2^-52 there) it truncates at n = 30 as recorded;
+        # without one nothing shows the perturbation left is negligible.
+        spec = L.EllipticCFSpec(worked_spec.alpha, worked_spec.beta, worked_spec.p, worked_spec.q)
+        with pytest.raises(DegenerateTermError) as info:
+            BM.bm_at_lambda_power(spec, 3).evaluate(1e-12)
+        assert info.value.n == 31
 
     @pytest.mark.parametrize("k", [-1, 0, 3])
     def test_tail_value_formed_once_per_index(self, worked_spec, k, monkeypatch):

@@ -321,6 +321,17 @@ class TestLimitSetCommand:
         assert doc["residue"]["m"] == 12
         assert doc["residue"]["det_identity_residual"] < 1e-9
 
+    def test_max_n_bounds_the_residue_run(self, tmp_path, capsys):
+        # On exact roots the report's one h run also yields the residues, at
+        # their finer tol; --max-n is its budget, and n_terms its need.
+        path = write_config(tmp_path, "q6.json", RECORDED_CASES["ls-polyqn"][2])
+        assert cli.main(["limit-set", "--config", path]) == 0
+        need = json.loads(capsys.readouterr().out)["n_terms"]
+        assert cli.main(["limit-set", "--config", path, "--max-n", str(need)]) == 0
+        capsys.readouterr()
+        assert cli.main(["limit-set", "--config", path, "--max-n", str(need - 1)]) == cli.EXIT_NUMERIC
+        assert "budget" in capsys.readouterr().err
+
 
 class TestFigureCommands:
     def test_fig3_points_hug_circle(self, tmp_path, capsys):
@@ -596,7 +607,7 @@ RECORDED = {
     "ls-irrational": "5d32371e85965f43afe581ae4c15d888c1d4cf370ace0107656399ad24cc9b28",
     "ls-line": "16b9d0d04821b315ed3946de8fe720e1867e9e8a02ee6449da029cd517b2474c",
     "ls-order17": "73e6390b25dda162ccf2aa4d02d4f2027d95a488f5af9463d7acd1ecfac00759",
-    "ls-polyqn": "93332afe1a1bfd3fc48d2213b3648217c721a0400505278d52a4d76e5849d9ee",
+    "ls-polyqn": "4afc10d354a0763f68d2d16f5c66da05d3acc099872add7f8545a86b833e00c0",
     "mp-cocycle-left": "cd6f7131fb42f80663610f00a450230a34f90ec6c324e77355d18bb2a0e877be",
     "mp-cocycle-right": "9e7b078517793b4728b06b76b2222db4c5fd291c7bb43f5be8abb30e7ed6970a",
     "mp-residue": "b43f0db11765a9de0d65a01270c5f5a07e056bc6165828d56dd94338e703a5b4",

@@ -377,9 +377,8 @@ class TestComputeHDirectInverseSquare:
             calls = 0
             n_terms = L.compute_h_direct(inverse_square_spec(), tol).n_terms
             counts[n_terms] = calls
-        assert min(counts) >= 1000 and len(counts) == 2
-        short, long = (counts[n] for n in sorted(counts))
-        assert short == long <= 2
+        # compute_h_direct rotates with power_value only (test_two_rotations_per_call).
+        assert counts == {1552: 0, 4857: 0}
 
     def test_two_rotations_per_call(self, monkeypatch):
         power_value = U.power_value
@@ -947,3 +946,34 @@ class TestLimitSetReport:
         assert report.residue is not None
         assert report.residue.m == 6  # least common order of the pair
         assert report.rank == report.residue.rank == 3
+
+    def test_exact_roots_run_h_once_and_match_40_digit_reference(self, monkeypatch):
+        # alpha, beta = exp(+-2 pi i/12): the report's one h run, at the
+        # residue tol min(tol, 1e-11) |alpha - beta|/2 and the report's own
+        # budget, serves h, the limit points and the residue limits.
+        alpha, beta, p, q, tol = Fraction(1, 12), Fraction(11, 12), (0.5, 0.3), (0.4j, 0.25), 1e-10
+        spec = L.geometric_spec(U(alpha), U(beta), p[0], p[1], q[0], q[1])
+        runs = []
+        compute_h_direct = L.compute_h_direct
+
+        def spy(spec, *args):
+            runs.append(args)
+            return compute_h_direct(spec, *args)
+
+        monkeypatch.setattr(L, "compute_h_direct", spy)
+        report = L.limit_set_report(spec, tol, max_n=5000)
+        assert runs == [(1e-11 * abs(spec.alpha.value - spec.beta.value) / 2.0, 5000)]
+        assert report.n_terms == report.residue.n_terms
+
+        ma, mb = mpref.unit_root(alpha), mpref.unit_root(beta)
+        n = mpref.negligible_index(max(p[1], q[1]))
+        a, b, c, d = mpref.rotated_convergents(ma, mb, mp_geometric(*p), mp_geometric(*q), [n])[n]
+        h = report.h_raw
+        assert mpref.max_abs_diff((h.a, h.b, h.c, h.d), (a, b, c, d)) <= tol
+        with mpref.mp.workdps(mpref.DPS):
+            lam = ma / mb
+            points = [(a * lam**j + b) / (c * lam**j + d) for j in range(report.m)]
+        assert mpref.max_abs_diff([v.z for v in report.limit_points], points) <= tol
+        A, B = mpref.residue_limits(ma, mb, mp_geometric(*p), mp_geometric(*q), 12, max(p[1], q[1]))
+        assert mpref.max_abs_diff(report.residue.A, A) <= tol
+        assert mpref.max_abs_diff(report.residue.B, B) <= tol

@@ -11,7 +11,7 @@ import pathlib
 
 import cflimits
 
-LIMIT = 67
+LIMIT = 66
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
