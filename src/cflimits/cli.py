@@ -299,7 +299,7 @@ def cmd_limit_set(config: dict, args: argparse.Namespace) -> int:
     doc = {
         "h": {k: _ser_complex(getattr(report.h, k)) for k in "abcd"},
         "m": report.m,
-        "rank": report.rank,
+        "rank": report.m,
         "geometry": _ser_geometry(report.geometry),
         "concentration": {
             "kind": report.concentration.kind,

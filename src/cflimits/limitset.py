@@ -10,11 +10,11 @@ f_n is asymptotic to h(lambda^(n+1)) for a Moebius map h and
 lambda = alpha/beta, so the limit set is the image under h of the group of
 m-th roots of unity (the whole circle when lambda is not a root of unity).
 
-This module computes h two independent ways (from the convergent
-recurrence directly, and from three convergent modified fractions), the
-determinant product identifying det(h), the circle/line geometry with its
-concentration points, and the residue-class limits and rank when alpha and
-beta are themselves roots of unity.
+This module computes h from the convergent recurrence directly and from
+three convergent modified fractions (two readings of the same sequences, so
+the independent check is a 40-digit reference), the determinant product
+identifying det(h), the circle/line geometry with its concentration points,
+and the residue-class limits and rank when alpha and beta are roots of unity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._numpy import np
 from . import cf as _cf
 from .errors import (
     EqualAlphaBetaError,
@@ -36,14 +35,11 @@ from .errors import (
 )
 from .sphere import (
     INFINITY,
-    INVERT_ABOVE,
     LINE_RTOL,
     CircleOrLine,
     ExtendedComplex,
     MobiusMap,
     chordal_distance,
-    chordal_distances,
-    hypot_one,
     mobius_through,
     projective,
     sqrt_with_positive_branch,
@@ -428,11 +424,15 @@ class ResidueLimitsResult:
     A: tuple[complex, ...]
     B: tuple[complex, ...]
     values: tuple[ExtendedComplex, ...]
-    distinct_values: tuple[ExtendedComplex, ...]
     det_product: complex
     n_terms: int
     det_identity_residual: float
     periodicity_residual: float
+
+    @property
+    def distinct_values(self) -> tuple[ExtendedComplex, ...]:
+        """The rank distinct limits, one period ``values[:rank]``; see ``periodicity_residual``."""
+        return self.values[:self.rank]
 
 
 def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsResult:
@@ -448,17 +448,16 @@ def residue_limits(spec: EllipticCFSpec, tol: float = 1e-11) -> ResidueLimitsRes
     -(alpha beta)^i prod(1 - q_n/(alpha beta)) reduces to det h =
     det_product; the residual is their gap over |alpha - beta|.
     """
-    return _h_with_residues(spec, tol, 100_000)[1]
+    return _h_with_residues(spec, spec.lambda_order().m, tol, 100_000)[1]
 
 
-def _h_with_residues(spec: EllipticCFSpec, tol: float, max_n: int) -> tuple[DirectH, ResidueLimitsResult]:
+def _h_with_residues(spec: EllipticCFSpec, rank: int, tol: float,
+                     max_n: int) -> tuple[DirectH, ResidueLimitsResult]:
     """h to tol |alpha - beta|/2 within ``max_n`` terms, and ``residue_limits`` read off it."""
     alpha, beta = spec.alpha, spec.beta
     if not (alpha.is_exact_root and beta.is_exact_root):
         raise ValueError("residue limits require alpha and beta to be exact roots of unity")
     m = math.lcm(alpha.order(), beta.order())
-    rank = spec.lambda_order().m
-
     gap = alpha.value - beta.value
     direct = compute_h_direct(spec, tol * abs(gap) / 2.0, max_n)
     h = direct.h
@@ -474,56 +473,11 @@ def _h_with_residues(spec: EllipticCFSpec, tol: float, max_n: int) -> tuple[Dire
         A=A,
         B=B,
         values=values,
-        distinct_values=distinct_values(values, DISTINCT_TOL),
         det_product=direct.det_product,
         n_terms=direct.n_terms,
         det_identity_residual=abs(h.det - direct.det_product) / abs(gap),
         periodicity_residual=period_res,
     )
-
-
-#: Chordal distance under which two residue-class limits count as one value.
-DISTINCT_TOL = 1e-6
-# Array distances within this relative margin of the distinct-value
-# tolerance are recomputed by the scalar metric, which decides them.
-BORDER_RTOL = 1e-12
-
-
-def distinct_values(
-    values: Sequence[ExtendedComplex], distinct_tol: float
-) -> tuple[ExtendedComplex, ...]:
-    """The values in order, dropping each within ``distinct_tol`` of one kept earlier.
-
-    A value is kept iff its chordal distance to every value kept before it
-    exceeds ``distinct_tol``.  Each kept value marks the later values it
-    covers with one numpy row of distances, so the work is rank rows of
-    length m, not m * rank scalar calls.  Infinity, points beyond
-    ``INVERT_ABOVE`` and row entries within ``BORDER_RTOL`` of the tolerance
-    go to the scalar ``chordal_distance``, so every decision is the one the
-    scalar rule makes.
-    """
-    m = len(values)
-    plain = np.array([not v.is_infinity and abs(v.z) <= INVERT_ABOVE for v in values], dtype=bool)
-    z = np.array([v.z if ok else 0.0 for v, ok in zip(values, plain)], dtype=complex)
-    z_hypot = hypot_one(z)
-    covered = np.zeros(m, dtype=bool)
-    kept = []
-    for i, u in enumerate(values):
-        if covered[i]:
-            continue
-        kept.append(u)
-        later = slice(i + 1, m)
-        if plain[i]:
-            row = chordal_distances(u.z, z[later], z_hypot[later])
-            close = ~(row > distinct_tol)  # the negation of the scalar rule's keep test
-            recheck = ~plain[later] | (np.abs(row - distinct_tol) <= BORDER_RTOL * distinct_tol)
-        else:
-            close = np.zeros(m - i - 1, dtype=bool)
-            recheck = np.ones(m - i - 1, dtype=bool)
-        for j in np.flatnonzero(recheck & ~covered[later]):
-            close[j] = not chordal_distance(values[i + 1 + j], u) > distinct_tol
-        covered[later] |= close
-    return tuple(kept)
 
 
 def normalize_elliptic(
@@ -607,12 +561,11 @@ def q_cf_rank(
 
 @dataclass(frozen=True)
 class LimitSetReport:
-    """Everything known about the limit set of one elliptic-type fraction."""
+    """Everything known about the limit set of one elliptic-type fraction; ``m`` is its rank."""
 
     h: MobiusMap
     h_raw: MobiusMap
     m: int | None
-    rank: int | None
     geometry: CircleOrLine
     concentration: Concentration
     det_product: complex
@@ -634,7 +587,7 @@ def limit_set_report(
     """
     order = spec.lambda_order()
     if spec.alpha.is_exact_root and spec.beta.is_exact_root:
-        direct, residue = _h_with_residues(spec, min(tol, 1e-11), max_n)
+        direct, residue = _h_with_residues(spec, order.m, min(tol, 1e-11), max_n)
     else:
         direct, residue = compute_h_direct(spec, tol, max_n), None
     h_raw = direct.h
@@ -647,7 +600,6 @@ def limit_set_report(
         h=h_raw.normalized(),
         h_raw=h_raw,
         m=order.m,
-        rank=order.m,
         geometry=h_raw.image_of_unit_circle(),
         concentration=concentration_points(h_raw, order.m),
         det_product=direct.det_product,

@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
 from .errors import DegenerateMapError, DegenerateTripleError, IndeterminateValueError
 
 # Scale-free determinant tolerance: |det| / max(|a|..|d|)^2 below this
@@ -113,27 +112,6 @@ def chordal_distance(x, y) -> float:
         if not 0.0 < min(x_abs, y_abs) < 1.0 / INVERT_ABOVE:
             return chordal_distance(x.reciprocal(), y.reciprocal())
     return 2.0 * abs(xz - yz) / (math.hypot(1.0, x_abs) * math.hypot(1.0, y_abs))
-
-
-def chordal_distances(x: complex, ys: np.ndarray, ys_hypot: np.ndarray) -> np.ndarray:
-    """Chordal distances from the point x to each point of the complex array ys.
-
-    The same formula as ``chordal_distance``, one numpy row instead of one
-    call per pair; ``ys_hypot`` is ``hypot_one(ys)``, computed once by the
-    caller and reused across rows.  Every point must be finite with modulus
-    at most ``INVERT_ABOVE``; send infinity and larger points to
-    ``chordal_distance``.  Moduli come from ``np.hypot``, which matches
-    Python's complex ``abs`` (numpy's complex ``abs`` does not); ``np.hypot``
-    and ``math.hypot`` still differ in the last bit now and then, so entries
-    agree with ``chordal_distance`` to a few ulps, not bit for bit.
-    """
-    diff = x - ys
-    return 2.0 * np.hypot(diff.real, diff.imag) / (math.hypot(1.0, abs(x)) * ys_hypot)
-
-
-def hypot_one(zs: np.ndarray) -> np.ndarray:
-    """sqrt(1 + |z|^2) for each entry of a complex array, without overflow."""
-    return np.hypot(1.0, np.hypot(zs.real, zs.imag))
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,11 @@ def test_criterion_3_rank_regression():
             1.0, 1.0 / 5.0,
         )
         res = L.residue_limits(spec, 1e-12)
-        distinct = len(res.distinct_values)
-        ok &= distinct == want_rank and res.rank == want_rank
+        # one period of pairwise distinct limits, which recur rank steps on
+        period = res.values[:res.rank]
+        gap = min(chordal_distance(u, v) for i, u in enumerate(period) for v in period[:i])
+        drift = max(chordal_distance(v, res.values[(j + res.rank) % res.m]) for j, v in enumerate(res.values))
+        ok &= res.rank == want_rank and gap > 1e-6 and drift < 1e-8
         # determinant identity along consecutive residues
         want = -1.0
         for n in range(1, 200):
@@ -132,7 +135,7 @@ def test_criterion_3_rank_regression():
             for p in range(1, res.m)
         )
         ok &= det_err < 1e-9
-        details.append(f"m'={den}: {distinct} limits, det err {det_err:.1e}")
+        details.append(f"m'={den}: {res.rank} limits, gap {gap:.1e}, det err {det_err:.1e}")
     # the 17-limit configuration
     alpha = U(Fraction(0), math.sqrt(11.0))
     beta = U(Fraction(1, 17), math.sqrt(11.0))

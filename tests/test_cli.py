@@ -15,7 +15,7 @@ from cflimits import cli, svgfig
 from cflimits import limitset as L
 from cflimits.errors import ConfigError
 from cflimits.limitset import UnitModulusNumber as U
-from cflimits.sphere import chordal_distance, chordal_distances, hypot_one
+from cflimits.sphere import chordal_distance
 
 
 def write_config(tmp_path, name, obj):
@@ -352,7 +352,7 @@ class TestFigureCommands:
             report.h_raw.apply(cmath.rect(1.0, 2 * math.pi * t / 2048)).z
             for t in range(2048)
         ])
-        circle_hypot = hypot_one(circle_pts)
+        circle_hypot = np.hypot(1.0, np.abs(circle_pts))
         close = total = 0
         for line in csv_lines[1:]:
             n_s, re_s, im_s = line.split(",")
@@ -360,7 +360,8 @@ class TestFigureCommands:
                 continue
             total += 1
             z = complex(float(re_s), float(im_s))
-            if chordal_distances(z, circle_pts, circle_hypot).min() < 0.05:
+            chordal = 2.0 * np.abs(z - circle_pts) / (math.hypot(1.0, abs(z)) * circle_hypot)
+            if chordal.min() < 0.05:
                 close += 1
         assert close / total >= 0.99
 
@@ -682,11 +683,16 @@ class TestModuleEntryPoint:
         assert proc.stdout.split() == ["[]", "False"]
 
     @pytest.mark.parametrize(
-        "command, name, config",
-        [("limit-set", "w.json", WORKED_CONFIG), ("figure", "f3.json", {"kind": "figure", "which": "fig3"})],
-        ids=["limit-set", "fig3"],
+        "command, config",
+        [
+            ("limit-set", WORKED_CONFIG),
+            ("limit-set", RECORDED_CASES["ls-polyqn"][2]),
+            ("figure", {"kind": "figure", "which": "fig3"}),
+            ("verify", None),
+        ],
+        ids=["limit-set", "limit-set-exact-roots", "fig3", "verify"],
     )
-    def test_numpy_free_command_leaves_numpy_unloaded(self, tmp_path, command, name, config):
+    def test_numpy_free_command_leaves_numpy_unloaded(self, tmp_path, command, config):
         probe = (
             "import contextlib, io, sys\n"
             "from cflimits import cli\n"
@@ -694,8 +700,10 @@ class TestModuleEntryPoint:
             "    code = cli.main(sys.argv[1:])\n"
             "print(code, 'numpy.linalg' in sys.modules)"
         )
-        path = write_config(tmp_path, name, config)
-        proc = self.python("-c", probe, command, "--config", path, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        argv = [command, "--out", str(tmp_path / "o")]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, "config.json", config)]
+        proc = self.python("-c", probe, *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
 

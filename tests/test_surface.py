@@ -1,9 +1,10 @@
-"""The package's count of optional settable values may not grow unseen.
+"""The package's count of optional settable values and of lines may not grow unseen.
 
 An optional settable value is a parameter with a default (of any
 function, method or lambda) or a dataclass field with a default, counted
 over the AST of every module of the package.  A change that adds one must
-raise ``LIMIT`` in its own diff.
+raise ``LIMIT`` in its own diff; a change that adds lines to the package's
+modules must raise ``LINES`` in its own diff.
 """
 
 import ast
@@ -11,7 +12,10 @@ import pathlib
 
 import cflimits
 
+MODULES = sorted(pathlib.Path(cflimits.__file__).parent.glob("*.py"))
+
 LIMIT = 66
+LINES = 3352
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -50,6 +54,11 @@ def f(a, b=1, *, c, d=2):
 
 
 def test_optional_settable_values_do_not_grow():
-    package = pathlib.Path(cflimits.__file__).parent
-    total = sum(optional_settable_values(path.read_text()) for path in sorted(package.glob("*.py")))
+    total = sum(optional_settable_values(path.read_text()) for path in MODULES)
     assert total <= LIMIT
+
+
+def test_src_lines_do_not_grow():
+    # The count ``wc -l`` gives: newline characters.
+    total = sum(path.read_text().count("\n") for path in MODULES)
+    assert total <= LINES
