@@ -39,7 +39,6 @@ class BMTransformResult:
 
     cf: _cf.ContinuedFraction
     target: str  # "infinity" | "zero" | "lambda-power"
-    k: int | None = None
 
     def evaluate(self, tol: float = 1e-12, max_n: int = 100_000) -> _cf.EvalResult:
         return _cf.evaluate(self.cf, tol, max_n)
@@ -150,7 +149,7 @@ def bm_at_lambda_power(spec: EllipticCFSpec, k: int) -> BMTransformResult:
         inner = e_n / e(n - 1)[0]  # E_{n-1} = 0 raised or truncated at term n - 1
         return original(n - 1)[0] * inner, den - w(n - 2) * inner
 
-    return BMTransformResult(_cf.ContinuedFraction(0.0, terms), "lambda-power", k)
+    return BMTransformResult(_cf.ContinuedFraction(0.0, terms), "lambda-power")
 
 
 def rbm_identity(

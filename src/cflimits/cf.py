@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
 from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
@@ -38,13 +38,13 @@ TermGenerator = Callable[[int], tuple[complex, complex]]
 #: n -> w(n), the value that replaces the tail of the n-th approximant.
 Modifier = Callable[[int], complex | ExtendedComplex]
 
-#: Default renormalization trigger for convergent pairs.
+#: Renormalization trigger for convergent pairs.
 RENORM_THRESHOLD = 1e150
+_RENORM_FLOOR = 1.0 / RENORM_THRESHOLD
 
-#: Stability windows: whole sequences, residue classes, and period blocks.
+#: Stability windows: whole sequences and residue classes.
 STABILITY_WINDOW = 16
 RESIDUE_WINDOW = 8
-BLOCK_WINDOW = 4
 
 
 class Monitor:
@@ -56,15 +56,14 @@ class Monitor:
     once ``window`` consecutive steps are under ``tol``, "tail-bound" when
     the bound is, and None otherwise.  A window stop is a heuristic: it is
     taken even while a supplied tail bound still exceeds ``tol``.  ``step``
-    measures a term by ``distance(term, last_term)``; do not mutate it later.
+    measures a point of the sphere by its chordal distance from the last one.
     """
 
-    __slots__ = ("tol", "window", "distance", "stable", "last_delta", "last_term")
+    __slots__ = ("tol", "window", "stable", "last_delta", "last_term")
 
-    def __init__(self, tol: float, window: int, distance: Callable[[Any, Any], float] | None = None):
+    def __init__(self, tol: float, window: int):
         self.tol = checked_tol(tol)
         self.window = window
-        self.distance = distance
         self.stable = 0
         self.last_delta: float | None = None
         self.last_term = None
@@ -78,8 +77,8 @@ class Monitor:
             return "tail-bound"
         return None
 
-    def step(self, term, tail_bound: float | None) -> str | None:
-        delta = math.inf if self.last_term is None else self.distance(term, self.last_term)
+    def step(self, term: ExtendedComplex, tail_bound: float | None) -> str | None:
+        delta = math.inf if self.last_term is None else chordal_distance(term, self.last_term)
         self.last_term = term
         return self.update(delta, tail_bound)
 
@@ -138,10 +137,8 @@ class ConvergentStream:
     advances and, when needed, rescales these four values and nothing else.
     """
 
-    def __init__(self, cf: ContinuedFraction, renorm_threshold: float):
+    def __init__(self, cf: ContinuedFraction):
         self.cf = cf
-        self.renorm_threshold = float(renorm_threshold)
-        self._renorm_floor = 1.0 / self.renorm_threshold
         self.n = 0
         self.num_prev, self.den_prev = 1.0 + 0.0j, 0.0 + 0.0j
         self.num, self.den = complex(cf.b0), 1.0 + 0.0j
@@ -150,7 +147,8 @@ class ConvergentStream:
     def step(self, term: tuple[complex, complex] | None = None) -> None:
         """Advance by one term: ``term`` is (a_n, b_n) as ``cf.term(n)`` gives it, if at hand.
 
-        The pairs are rescaled once their largest magnitude leaves [1/threshold, threshold].
+        The pairs are rescaled once their largest magnitude leaves
+        [1/RENORM_THRESHOLD, RENORM_THRESHOLD].
         """
         n = self.n + 1
         a, b = self.cf.term(n) if term is None else term
@@ -161,8 +159,8 @@ class ConvergentStream:
         self.den_prev, self.den = den, b * den + a * self.den_prev
         self.n = n
         mag = max(abs(self.num), abs(self.den), abs(num), abs(den))
-        if not self._renorm_floor <= mag <= self.renorm_threshold:
-            k = renorm_exponent(mag, self.renorm_threshold)  # 0 for a zero or NaN magnitude
+        if not _RENORM_FLOOR <= mag <= RENORM_THRESHOLD:
+            k = renorm_exponent(mag, RENORM_THRESHOLD)  # 0 for a zero or NaN magnitude
             if k:
                 s = math.ldexp(1.0, -k)
                 self.num *= s
@@ -189,8 +187,8 @@ class ConvergentStream:
         return projective(self.num + w * self.num_prev, self.den + w * self.den_prev)
 
 
-def convergents(cf: ContinuedFraction, renorm_threshold: float = RENORM_THRESHOLD) -> ConvergentStream:
-    return ConvergentStream(cf, renorm_threshold)
+def convergents(cf: ContinuedFraction) -> ConvergentStream:
+    return ConvergentStream(cf)
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def _subsequence_limits(
     value f_{n-1} and raises for a modified one (its tail no longer exists).
     """
     stream = convergents(cf)
-    monitors = [Monitor(tol, window, chordal_distance) for _ in subsequences]
+    monitors = [Monitor(tol, window) for _ in subsequences]
     sampled = [0] * len(subsequences)
     results: list[EvalResult | None] = [None] * len(subsequences)
     pending = [(i, first, stride, w, monitors[i]) for i, (first, stride, w) in enumerate(subsequences)]

@@ -2,10 +2,10 @@
 
 Three regimes: absolutely summable factors I + A_i (the product converges
 outright); factors drifting toward a single finite-order matrix M (partial
-products converge along blocks of the order, with residue limits M^j F or
-F M^j); and factors drifting toward a constant comparison matrix M with
-bounded powers (the cocycle F = lim (prod D)(M^n)^-1 exists, computed in
-M's eigenbasis in blocks of steps, and prod D ~ F M^n).
+products converge along residue classes to M^j F or F M^j, F the first
+regime's product over whole periods); and factors drifting toward a constant
+comparison matrix M with bounded powers (the cocycle F = lim (prod D)(M^n)^-1
+exists, computed in M's eigenbasis in blocks of steps, and prod D ~ F M^n).
 
 Products come in two orientations.  "left" means D_1 D_2 ... D_n (new
 factors attach on the right); the cocycle is then (prod D)(M^n)^-1, the
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from ._numpy import np
-from .cf import BLOCK_WINDOW, STABILITY_WINDOW, Monitor
+from .cf import STABILITY_WINDOW, Monitor, checked_tol
 from .errors import (
     BudgetExceededError,
     InvalidFactorError,
@@ -108,10 +109,12 @@ def wedderburn_product(
 
     The remaining factors multiply the partial product by something within
     exp(tail) - 1 of the identity (in the submultiplicative scaled norm),
-    which yields the stopping bound.  A non-finite A_i raises
-    InvalidFactorError at its index.
+    which yields the stopping bound; ``tol`` is checked before any A_i is
+    formed.  A non-finite A_i, or partial product after it, raises
+    InvalidFactorError at i.
     """
     _check_side(side)
+    checked_tol(tol)
     first = np.asarray(a_seq(1), dtype=complex)
     if first.ndim != 2 or first.shape[0] != first.shape[1]:
         raise ValueError(f"the first factor must be a square matrix, got shape {first.shape}")
@@ -123,8 +126,10 @@ def wedderburn_product(
         if not np.isfinite(a_i).all():
             raise InvalidFactorError(f"factor A_{i} is not finite", i)
         product = product @ (eye + a_i) if side == "left" else (eye + a_i) @ product
-        bound = d * max(1.0, entry_norm(product)) * math.expm1(tail_bound(i))
-        if bound < tol:
+        norm = entry_norm(product)
+        if not norm < math.inf:  # also NaN, which max(1.0, norm) would hide
+            raise InvalidFactorError(f"partial product is not finite after A_{i}", i)
+        if d * max(1.0, norm) * math.expm1(tail_bound(i)) < tol:
             return product
     raise BudgetExceededError(f"product tail above tolerance after {max_terms} factors")
 
@@ -214,12 +219,11 @@ def cocycle_limit(
 
 @dataclass(frozen=True)
 class ResidueMatrixResult:
-    """Block limit F and the residue-class limits M^j F (or F M^j)."""
+    """Period limit F, the residue-class limits F M^j (or M^j F) and the periods used."""
 
     f: np.ndarray
     residue_limits: tuple[np.ndarray, ...]
     n_blocks: int
-    last_delta: float
 
 
 def residue_matrix_limits(
@@ -228,14 +232,18 @@ def residue_matrix_limits(
     order: int,
     tol: float = 1e-10,
     side: Side = "left",
-    tail_bound: Callable[[int], float] | None = None,
+    *,
+    tail_bound: Callable[[int], float],
 ) -> ResidueMatrixResult:
     """F = lim of whole-period partial products when D_n -> M with M^order = I.
 
     Along residue class j the partial products converge to F M^j for left
     products (trailing factors drift to M) and to M^j F for right products.
-    ``d_seq`` must be pure in n: a period whose product is not finite is read
-    again, and the first non-finite D_n raises InvalidFactorError at n.
+    F is the ``wedderburn_product`` of the period products, with tail
+    order * tail_bound(k order) after period k (``tail_bound(N)`` bounds
+    sum_{n>N} ||D_n - M||); it stops on that bound only.  ``d_seq`` must be
+    pure in n: a period whose product is not finite is read again, and the
+    first non-finite D_n raises InvalidFactorError at n.
     """
     _check_side(side)
     if order < 1:
@@ -246,36 +254,28 @@ def residue_matrix_limits(
     if entry_norm(np.linalg.matrix_power(m, order) - eye) > 1e-12:
         raise MNotFiniteOrderError(f"M^{order} differs from the identity")
 
-    product = eye.copy()
-    monitor = Monitor(tol, BLOCK_WINDOW, lambda block, prev: entry_norm(block - prev))
-    n = 0
-    for k in range(1, 50_001):
-        for _ in range(order):
-            n += 1
-            dn = np.asarray(d_seq(n), dtype=complex).reshape(d, d)
-            product = product @ dn if side == "left" else dn @ product
-        if not np.isfinite(product).all():
-            for i in range(n - order + 1, n + 1):
-                if not np.isfinite(np.asarray(d_seq(i), dtype=complex)).all():
-                    raise InvalidFactorError(f"factor D_{i} is not finite", i)
-            raise InvalidFactorError(f"partial product is not finite after D_{n}", n)
-        tail = None
-        if tail_bound is not None and k >= 2:
-            tail = d * max(1.0, entry_norm(product)) * order * tail_bound(n)
-        if monitor.step(product, tail):
-            break
-    else:
-        raise monitor.exhausted("residue blocks not stable after 50000 periods", BudgetExceededError)
+    blocks = 0
 
-    f = product
-    powers = [eye.copy()]
-    for _ in range(order - 1):
-        powers.append(powers[-1] @ m)
-    if side == "left":
-        limits = tuple(f @ p for p in powers)
-    else:
-        limits = tuple(p @ f for p in powers)
-    return ResidueMatrixResult(f, limits, k, monitor.last_delta)
+    def period(k: int) -> np.ndarray:  # B_k - I, B_k the product of D_{(k-1)order+1} .. D_{k order}
+        nonlocal blocks
+        blocks, first = k, (k - 1) * order + 1
+        factors = [np.asarray(d_seq(n), dtype=complex).reshape(d, d) for n in range(first, first + order)]
+        return reduce(np.matmul, factors if side == "left" else factors[::-1]) - eye
+
+    try:
+        f = wedderburn_product(period, lambda k: order * tail_bound(k * order), tol, 50_000, side)
+    except InvalidFactorError as err:
+        n = err.n * order
+        for i in range(n - order + 1, n + 1):
+            if not np.isfinite(np.asarray(d_seq(i), dtype=complex)).all():
+                raise InvalidFactorError(f"factor D_{i} is not finite", i) from None
+        raise InvalidFactorError(f"partial product is not finite after D_{n}", n) from None
+
+    limits, power = [], eye
+    for _ in range(order):
+        limits.append(f @ power if side == "left" else power @ f)
+        power = power @ m
+    return ResidueMatrixResult(f, tuple(limits), blocks)
 
 
 def product_predictor(pair: MatrixSequencePair, f: np.ndarray, n: int) -> np.ndarray:

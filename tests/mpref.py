@@ -45,6 +45,16 @@ def negligible_index(ratio: float) -> int:
         return int(DPS * mp.log(10) / -mp.log(ratio)) + 8
 
 
+def partial_product(d_seq, dim: int, n: int, side: str) -> mp.matrix:
+    """D_1 ... D_n for side "left", D_n ... D_1 for "right"; ``d_seq(i)`` returns D_i
+    as an ``mp.matrix``."""
+    with mp.workdps(DPS):
+        product = mp.eye(dim)
+        for i in range(1, n + 1):
+            product = product * d_seq(i) if side == "left" else d_seq(i) * product
+        return product
+
+
 def partial_cocycle(d_seq, m, n: int, side: str) -> mp.matrix:
     """(D_1 ... D_n)(M^n)^-1 for side "left", (M^n)^-1 (D_n ... D_1) for "right".
 
@@ -53,11 +63,16 @@ def partial_cocycle(d_seq, m, n: int, side: str) -> mp.matrix:
     """
     with mp.workdps(DPS):
         m_inv = to_mp(m) ** -1
-        product = mp.eye(m_inv.rows)
-        for i in range(1, n + 1):
-            product = product * d_seq(i) if side == "left" else d_seq(i) * product
+        product = partial_product(d_seq, m_inv.rows, n, side)
         inverse = m_inv ** n
         return product * inverse if side == "left" else inverse * product
+
+
+def period_limit(d_seq, dim: int, order: int, ratio: float, side: str) -> mp.matrix:
+    """F = lim of the whole-period products, as ``partial_product`` through the
+    first multiple of ``order`` past the index where perturbations of decay
+    ``ratio`` are negligible."""
+    return partial_product(d_seq, dim, _class_start(order, ratio), side)
 
 
 def unit_root(turns) -> mp.mpc:

@@ -107,14 +107,15 @@ class TestConvergents:
 
     def test_unscaled_undoes_the_exponent(self):
         # Power-of-two rescaling is exact, so a stream that renormalized
-        # repeatedly unscales to the pairs of one that never did.
-        rescaled = C.convergents(golden_cf(), renorm_threshold=1e10)
-        plain = C.convergents(golden_cf(), renorm_threshold=1e300)
+        # unscales to the pairs of the plain recurrence, which reaches 1e167.
+        stream = C.convergents(golden_cf())
+        num_prev, num, den_prev, den = 1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j
         for _ in range(800):
-            rescaled.step()
-            plain.step()
-        assert rescaled.exponent > 0 and plain.exponent == 0
-        assert rescaled.unscaled() == (plain.num, plain.num_prev, plain.den, plain.den_prev)
+            stream.step()
+            num_prev, num = num, num + num_prev
+            den_prev, den = den, den + den_prev
+        assert stream.exponent > 0
+        assert stream.unscaled() == (num, num_prev, den, den_prev)
 
 
 class NumeratorProduct:
@@ -223,16 +224,20 @@ class TestValue:
         assert stream.value().z == 2.0
 
     def test_projective_rescaling_invariance(self):
-        # Same fraction advanced under wildly different renormalization
-        # thresholds yields identical values.
+        # The stream's values equal those of a recurrence that rescales its
+        # pairs into [1/2, 1) after every step.
         rng = random.Random(23)
         fraction = random_cf(rng, bounded=False)
-        s1 = C.convergents(fraction, renorm_threshold=1e10)
-        s2 = C.convergents(fraction, renorm_threshold=1e300)
-        for _ in range(300):
-            s1.step()
-            s2.step()
-            assert chordal_distance(s1.value(), s2.value()) < 1e-12
+        stream = C.convergents(fraction)
+        num_prev, num, den_prev, den = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+        for n in range(1, 301):
+            stream.step()
+            a, b = fraction.term(n)
+            num_prev, num = num, b * num + a * num_prev
+            den_prev, den = den, b * den + a * den_prev
+            s = math.ldexp(1.0, -math.frexp(max(abs(num), abs(den), abs(num_prev), abs(den_prev)))[1])
+            num, den, num_prev, den_prev = num * s, den * s, num_prev * s, den_prev * s
+            assert chordal_distance(stream.value(), projective(num, den)) < 1e-12
 
     def test_indeterminate_pair(self):
         with pytest.raises(IndeterminateValueError):

@@ -611,7 +611,7 @@ RECORDED = {
     "ls-polyqn": "4afc10d354a0763f68d2d16f5c66da05d3acc099872add7f8545a86b833e00c0",
     "mp-cocycle-left": "cd6f7131fb42f80663610f00a450230a34f90ec6c324e77355d18bb2a0e877be",
     "mp-cocycle-right": "9e7b078517793b4728b06b76b2222db4c5fd291c7bb43f5be8abb30e7ed6970a",
-    "mp-residue": "b43f0db11765a9de0d65a01270c5f5a07e056bc6165828d56dd94338e703a5b4",
+    "mp-residue": "b38a0f8c87bfa386aef2eebc7212333a483c993ecf2eb754fd118a9af8486271",
     "rec-nopert": "74a1c720c46ddbfda61e7e07d43c72d86575e9ae8286e7f4090611b896fd2560",
     "rec-pert": "e59e80dcf3ec8dbfa5bf25f6749e66006ced61505cc9ec5ac580046fcb92c7e3",
     "rs-cf": "26531b37c0dd3ca7b11c493f80bb545d20461ba3d46ae28e8f1ec1a741abcd4d",

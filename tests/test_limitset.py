@@ -515,6 +515,22 @@ class TestComputeHViaModifications:
         assert info.value.last_delta == runs[label].last_delta
 
 
+class TestDetProduct:
+    def test_q_equal_to_alpha_beta_raises_at_its_factor(self):
+        alpha, beta = U.root_of_unity(1, 5), U.root_of_unity(3, 7)
+        ab = (alpha * beta).value
+        seen = []
+
+        def q(n):
+            seen.append(n)
+            return ab if n == 4 else 0.3**n
+
+        with pytest.raises(QEqualsAlphaBetaError) as info:
+            L.det_product(L.EllipticCFSpec(alpha, beta, lambda n: 0.0, q), 1e-12)
+        assert info.value.n == 4
+        assert seen == [1, 2, 3, 4]
+
+
 class TestAsymptoticPredictor:
     def test_approximants_track_prediction(self, worked_spec):
         direct = L.compute_h_direct(worked_spec, 1e-12, 5000)

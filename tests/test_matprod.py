@@ -65,7 +65,7 @@ class TestSideValidation:
 
     def test_residue_matrix_limits(self):
         with pytest.raises(ValueError, match="side"):
-            MP.residue_matrix_limits(never_called, np.eye(2), 1, side="sideways")
+            MP.residue_matrix_limits(never_called, np.eye(2), 1, side="sideways", tail_bound=never_called)
 
     def test_wedderburn_product(self):
         with pytest.raises(ValueError, match="side"):
@@ -166,6 +166,22 @@ class TestWedderburn:
             MP.wedderburn_product(a_seq, lambda n: 0.5**n, 1e-12, side=side)
         assert info.value.n == 3
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_overflowing_product_raises_after_its_factor(self, side):
+        # (1 + 1e200)^2 overflows at A_2; max(1.0, nan) is 1.0, so the zero
+        # tail bound once returned an all-NaN product.
+        a_seq = lambda i: 1e200 * np.eye(2)
+        with pytest.raises(InvalidFactorError, match="partial product is not finite after A_2") as info:
+            MP.wedderburn_product(a_seq, lambda n: 1.0 if n < 2 else 0.0, 1e-12, side=side)
+        assert info.value.n == 2
+
+    @pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan])
+    def test_tol_checked_before_any_factor(self, tol):
+        # tol = inf once returned the first partial product; 0, -1 and NaN
+        # ran the whole budget before raising.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            MP.wedderburn_product(never_called, never_called, tol)
+
 
 class TestResidueMatrixLimits:
     def test_constant_finite_order_cycles(self):
@@ -227,16 +243,45 @@ class TestResidueMatrixLimits:
             MP.residue_matrix_limits(d_seq, m, 4, tail_bound=lambda n: 0.0)
         assert info.value.n == 4
 
+    # The order-2, 0.95^n product of the finite-order benchmark (seeds 1 and
+    # 77): a stability window of 4 periods stopped it 6.7x and 6.4x tol off.
+    SLOW_ORDER_TWO = {
+        "right": (
+            [[-0.9706222314957498 + 0.0029296711043475553j, -0.19281643638466067 - 0.4120482865620027j],
+             [-0.06526649156138686 + 0.10997889290816304j, 0.9706222314957499 - 0.0029296711043474326j]],
+            [[0.2950664757550941 + 0.05418279141451161j, -0.0898046427619526 - 0.2862431241766308j],
+             [0.11588495242107913 - 0.2767140722882814j, 0.13343292508730162 - 0.26869249059593486j]],
+        ),
+        "left": (
+            [[-1.0015357366480468 + 0.0005355217081371575j, -0.11260018649539864 - 0.0060951232658916525j],
+             [0.026702173691264448 - 0.010971929403208257j, 1.001535736648047 - 0.000535521708137035j]],
+            [[-0.12624667882787127 + 0.2721429331894038j, 0.2627746786769279 + 0.14473931133675225j],
+             [0.2714054921081513 + 0.12782432809732353j, -0.20193511071161024 + 0.2218607920789289j]],
+        ),
+    }
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_slow_order_two_product_within_tol_of_reference(self, side):
+        m, e = (np.array(a, dtype=complex) for a in self.SLOW_ORDER_TWO[side])
+        tol, ratio = 1e-10, 0.95
+        res = MP.residue_matrix_limits(
+            lambda n: m + ratio**n * e, m, 2, tol, side=side, tail_bound=geometric_tail(MP.entry_norm(e), ratio)
+        )
+        m_mp, e_mp = mpref.to_mp(m), mpref.to_mp(e)
+        f = mpref.period_limit(lambda n: m_mp + mpref.mp.mpf(ratio) ** n * e_mp, 2, 2, ratio, side)
+        assert mpref.max_abs_error(res.f, f) < tol
+        assert mpref.max_abs_error(res.residue_limits[1], f * m_mp if side == "left" else m_mp * f) < tol
+
     def test_wrong_order_rejected(self):
         with pytest.raises(MNotFiniteOrderError):
-            MP.residue_matrix_limits(lambda n: rotation(1.0), rotation(1.0), 3, 1e-10)
+            MP.residue_matrix_limits(lambda n: rotation(1.0), rotation(1.0), 3, 1e-10, tail_bound=never_called)
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_order_below_one_rejected(self, order):
         # M^0 = I, so before this check any d_seq gave F = I.
         m = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(ValueError, match="order"):
-            MP.residue_matrix_limits(never_called, m, order, 1e-10)
+            MP.residue_matrix_limits(never_called, m, order, 1e-10, tail_bound=never_called)
 
 
 class TestCocycleLimit:
@@ -280,6 +325,18 @@ class TestCocycleLimit:
         res = MP.cocycle_limit(pair, 1e-12)
         assert not res.d_all_nonsingular
         assert abs(res.det_f) < 1e-10
+
+    @pytest.mark.parametrize("bad", ["d", "m"])
+    def test_bad_first_factor_of_a_block_raises_at_its_index(self, bad):
+        # Steps 1-16 are the first block, so step 17 opens the second with
+        # no step the loop may take; without a tail bound it stops at 48.
+        m = rotation(0.7)
+        d_seq = lambda i: np.full((2, 2), math.nan) if bad == "d" and i == 17 else m + 0.5**i * E
+        m_seq = lambda i: rotation(0.8) if bad == "m" and i == 17 else m
+        message = "factor D_17 is not finite" if bad == "d" else "M_17 differs from M_1"
+        with pytest.raises(InvalidFactorError, match=message) as info:
+            MP.cocycle_limit(MP.MatrixSequencePair(2, d_seq, m_seq), 1e-10)
+        assert info.value.n == 17
 
     def test_unbounded_comparison_detected(self):
         grow = np.diag([2.0, 0.5]).astype(complex)

@@ -2,7 +2,8 @@
 
 Unit tests of ``cf.Monitor``, and the stop index of every routine that
 stops through it, pinned to the indices its earlier hand-written stopping
-loop gave.  Where a routine also takes a tail bound, it is pinned stopping
+loop gave, and of ``residue_matrix_limits``, which stops on its tail bound
+alone.  Where a routine also takes a tail bound, it is pinned stopping
 on that bound, on the window once the bound is removed, and on a zero
 bound, which shows the first step or block allowed to stop on it.
 """
@@ -15,7 +16,7 @@ import pytest
 from cflimits import bauermuir, cf, limitset, matprod, qseries, recur
 from cflimits.errors import BudgetExceededError, NoConvergenceError, SeriesNotConvergedError
 from cflimits.limitset import EllipticCFSpec, UnitModulusNumber, geometric_spec
-from cflimits.sphere import chordal_distance
+from cflimits.sphere import as_extended, chordal_distance
 
 GOLDEN = cf.ContinuedFraction(1.0, lambda n: (1.0, 1.0))
 
@@ -87,14 +88,14 @@ class TestMonitor:
             cf.Monitor(tol, 4)
 
     def test_step_measures_distance_from_the_previous_term(self):
-        seen = []
-        monitor = cf.Monitor(1e-3, 2, lambda new, old: seen.append((new, old)) or abs(new - old))
-        assert monitor.step(1.0, None) is None
-        assert monitor.last_delta == math.inf and seen == []
-        assert monitor.step(1.0005, None) is None
-        assert monitor.step(1.0, 1.0) == "window"
-        assert seen == [(1.0005, 1.0), (1.0, 1.0005)]
-        assert monitor.last_term == 1.0 and monitor.last_delta == abs(1.0 - 1.0005)
+        one, near = as_extended(1.0), as_extended(1.0005)
+        monitor = cf.Monitor(1e-3, 2)
+        assert monitor.step(one, None) is None
+        assert monitor.last_delta == math.inf
+        assert monitor.step(near, None) is None
+        assert monitor.last_delta == chordal_distance(near, one) < 1e-3
+        assert monitor.step(one, 1.0) == "window"
+        assert monitor.last_term is one and monitor.last_delta == chordal_distance(one, near)
 
     def test_exhausted_carries_last_delta(self):
         monitor = cf.Monitor(1e-3, 4)
@@ -189,14 +190,14 @@ class TestPinnedStops:
         assert matprod.cocycle_limit(pair).n_terms == n
         assert reasons == [reason]
 
-    @pytest.mark.parametrize(
-        "tail, blocks, reason", [(E_TAIL, 9, "tail-bound"), (None, 13, "window"), (ZERO_TAIL, 2, "tail-bound")]
-    )
-    def test_residue_matrix_limits(self, reasons, tail, blocks, reason):
+    @pytest.mark.parametrize("tail, blocks", [(E_TAIL, 9), (ZERO_TAIL, 1)])
+    def test_residue_matrix_limits(self, reasons, tail, blocks):
+        # wedderburn_product over the periods stops on the tail bound alone,
+        # with no Monitor; a zero bound stops after the first period.
         m = np.array([[0, -1], [1, 0]], dtype=complex)
         result = matprod.residue_matrix_limits(lambda i: m + 0.5**i * E, m, 4, tail_bound=tail)
         assert result.n_blocks == blocks
-        assert reasons == [reason]
+        assert reasons == []
 
     @pytest.mark.parametrize(
         "tail, n, reason",
@@ -261,7 +262,9 @@ def _spinning_recurrence():
 # and the limit sequences flip by 2; residue_limits_recurrence:
 # cocycle_limit on x_{n+1} = -x_n).  The last field is the last step where
 # it is known in closed form: |q_n| = 0.5, and 2 for a sequence flipping
-# between +-1.
+# between +-1.  residue_matrix_limits runs wedderburn_product, which stops
+# on its tail bound alone: it gives no Monitor a step, and its error
+# carries no last step.
 BUDGET_CASES = {
     "compute_h_direct": (
         lambda spec: limitset.compute_h_direct(spec, 1e-10, 5),
@@ -287,8 +290,8 @@ BUDGET_CASES = {
         BudgetExceededError, "cocycle not stable after 6 factors", 6, None,
     ),
     "residue_matrix_limits": (
-        lambda spec: matprod.residue_matrix_limits(lambda n: rotation(0.5), np.eye(2), 1),
-        BudgetExceededError, "residue blocks not stable after 50000 periods", 50_000, None,
+        lambda spec: matprod.residue_matrix_limits(lambda n: rotation(0.5), np.eye(2), 1, tail_bound=lambda n: 1.0),
+        BudgetExceededError, "product tail above tolerance after 50000 factors", 0, None,
     ),
     "residue_limits_recurrence": (
         lambda spec: recur.residue_limits_recurrence(_spinning_recurrence(), [1.0]),
@@ -305,6 +308,9 @@ class TestBudgetErrors:
             run(worked_spec)
         assert type(info.value) is error and str(info.value) == message
         assert len(deltas) == steps
+        if not steps:
+            assert info.value.last_delta is None
+            return
         assert math.isfinite(info.value.last_delta)
         assert info.value.last_delta == deltas[-1]
         if known is not None:
