@@ -647,6 +647,76 @@ class TestRecordedOutputs:
         assert recorded_digest(name) == RECORDED[name]
 
 
+def _bits(value) -> str:
+    """Every float of a result as its hex form; the point at infinity as "inf"."""
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(_bits(v) for v in value) + "]"
+    if isinstance(value, L.ExtendedComplex):
+        return "inf" if value.is_infinity else _bits(value.z)
+    if isinstance(value, complex):
+        return value.real.hex() + "," + value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+def _residue_bits(res) -> list:
+    return [res.m, res.rank, res.A, res.B, res.values, res.periodicity_residual,
+            res.det_identity_residual, res.n_terms]
+
+
+def _residue_case(a: int, b: int, den: int):
+    return lambda: _residue_bits(L.residue_limits(L.geometric_spec(
+        U.root_of_unity(a, den), U.root_of_unity(b, den), 0.3 + 0.1j, 0.5, -0.2j, 0.4)))
+
+
+def _order17_report():
+    report = L.limit_set_report(
+        L.geometric_spec(U(Fraction(0), math.sqrt(11)), U(Fraction(1, 17), math.sqrt(11)), 1.0, 0.3, 1.0, 0.2))
+    return [report.m, report.limit_points, report.n_terms]
+
+
+def _exact_root_report():
+    report = L.limit_set_report(
+        L.geometric_spec(U.root_of_unity(1, 12), U.root_of_unity(11, 12), 0.5, 0.3, 0.25j, 0.2))
+    return [report.m, report.limit_points, report.n_terms, _residue_bits(report.residue)]
+
+
+#: The numbers the root-of-unity paths report, each read off h in closed
+#: form: (case, sha256 of ``_bits`` of every reported float).  The cases
+#: cover m = 6, 90 and 960 with rank m and rank 3, one ``q_cf_rank`` spec,
+#: and the limit points of ``limit_set_report`` at order 17 (numeric angles
+#: with an exact-root quotient) and on exact roots of order 12.
+RECORDED_BITS = {
+    "m6-rank6": (_residue_case(2, 1, 6),
+        "ac9d4f71cae199f126de3c591b1fbc7f31fed4c5a88cbf72d4a56c8dc86214e6"),
+    "m6-rank3": (_residue_case(1, 3, 6),
+        "c9916d0cde0bcc1e8177c2e77dc220db99c868fb2885e130b93206aaae60ea65"),
+    "m90-rank90": (_residue_case(6, 89, 90),
+        "45b4d69a2a4e6203ba532131abddc6a4c3ec120786e5994922924e4de20b15e6"),
+    "m90-rank3": (_residue_case(1, 31, 90),
+        "72ec5d8b1b546aca3472d4ae919c5af34e455b9b59a959f4a7c7d06be4462aea"),
+    "m960-rank960": (_residue_case(6, 959, 960),
+        "691419e2f509ff76063cb35240dd04b7ae15f8cc92e733f534acd1c243e886fc"),
+    "m960-rank3": (_residue_case(1, 321, 960),
+        "af69ea9e99187bb0fca20dfa00aac1043942656fc8b3a7df3056f4a111c35eee"),
+    "q-cf-rank": (lambda: _residue_bits(L.q_cf_rank(
+        [0, 1 / _D, 0.1j], [0, 1 / _D**2], U.root_of_unity(1, 12), U.root_of_unity(7, 12), 0.3 + 0.2j)),
+        "407643b7c3dda685ea1e1bc31e278a1c7321d5eb927163421a1231bc3f01e6c0"),
+    "report-order17": (_order17_report,
+        "b8669d6515e5bf1664a6ab4af0901531e34213871d5dc4d5284d3d76d9ee01bb"),
+    "report-exact-roots": (_exact_root_report,
+        "bd13a2ee1d7c91d640f653273a0649d019784843ce77f0bbf35577630f606430"),
+}
+
+
+class TestRecordedBits:
+    @pytest.mark.parametrize("name", sorted(RECORDED_BITS))
+    def test_reported_floats_match_recording(self, name):
+        case, digest = RECORDED_BITS[name]
+        assert hashlib.sha256(_bits(case()).encode()).hexdigest() == digest
+
+
 class TestModuleEntryPoint:
     """``python -m cflimits.cli`` as a fresh interpreter."""
 
