@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
-from .sphere import ExtendedComplex, as_extended, chordal_distance, projective
+from .sphere import ExtendedComplex, as_extended, chordal, point, projective, quotient
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
 #: n -> w(n), the value that replaces the tail of the n-th approximant.
@@ -56,7 +56,7 @@ class Monitor:
     once ``window`` consecutive steps are under ``tol``, "tail-bound" when
     the bound is, and None otherwise.  A window stop is a heuristic: it is
     taken even while a supplied tail bound still exceeds ``tol``.  ``step``
-    measures a point of the sphere by its chordal distance from the last one.
+    measures a raw point (None is infinity) by its chordal distance from the last one.
     """
 
     __slots__ = ("tol", "window", "stable", "last_delta", "last_term")
@@ -77,8 +77,8 @@ class Monitor:
             return "tail-bound"
         return None
 
-    def step(self, term: ExtendedComplex, tail_bound: float | None) -> str | None:
-        delta = math.inf if self.last_term is None else chordal_distance(term, self.last_term)
+    def step(self, term: complex | None, tail_bound: float | None) -> str | None:
+        delta = math.inf if self.last_delta is None else chordal(term, self.last_term)
         self.last_term = term
         return self.update(delta, tail_bound)
 
@@ -178,14 +178,6 @@ class ConvergentStream:
         """P_n / Q_n on the sphere; invariant under renormalization."""
         return projective(self.num, self.den)
 
-    def modified(self, omega) -> ExtendedComplex:
-        """(P_n + w P_{n-1}) / (Q_n + w Q_{n-1}); w may be infinity."""
-        omega = as_extended(omega)
-        if omega.is_infinity:
-            return projective(self.num_prev, self.den_prev)
-        w = omega.z
-        return projective(self.num + w * self.num_prev, self.den + w * self.den_prev)
-
 
 def convergents(cf: ContinuedFraction) -> ConvergentStream:
     return ConvergentStream(cf)
@@ -258,7 +250,8 @@ def _subsequence_limits(
     first + stride, ..., modified by w(n) unless w is None, and stops once
     its own ``Monitor`` does; the stream stops when all have, or after
     ``max_n`` terms.  Each gets the n, value and last step of a run of its
-    own, and an error in forming term n is raised at n.  A zero partial
+    own, and an error in forming term n is raised at n.  The modified approximant
+    is (P_n + w P_{n-1}) / (Q_n + w Q_{n-1}), P_{n-1}/Q_{n-1} for w infinite.  A zero partial
     numerator a_n ends each unsettled unmodified subsequence at the exact
     value f_{n-1} and raises for a modified one (its tail no longer exists).
     """
@@ -272,10 +265,15 @@ def _subsequence_limits(
         settled = False
         for i, first, stride, w, monitor in pending:
             if n >= first and (n - first) % stride == 0:
-                value = stream.value() if w is None else stream.modified(w(n))
+                if w is None:
+                    z = quotient(stream.num, stream.den)
+                elif (omega := as_extended(w(n))).is_infinity:
+                    z = quotient(stream.num_prev, stream.den_prev)
+                else:
+                    z = quotient(stream.num + omega.z * stream.num_prev, stream.den + omega.z * stream.den_prev)
                 sampled[i] = n
-                if monitor.step(value, None):
-                    results[i] = EvalResult(True, value, n, monitor.last_delta)
+                if monitor.step(z, None):
+                    results[i] = EvalResult(True, point(z), n, monitor.last_delta)
                     settled = True
         if settled:
             pending = [entry for entry in pending if results[entry[0]] is None]

@@ -39,9 +39,11 @@ from .sphere import (
     CircleOrLine,
     ExtendedComplex,
     MobiusMap,
+    chordal,
     chordal_distance,
     mobius_through,
-    projective,
+    point,
+    quotient,
     sqrt_with_positive_branch,
 )
 
@@ -116,9 +118,20 @@ class UnitModulusNumber:
 
     def order(self) -> int | None:
         """Least m with self**m == 1, or None when no such m is tracked."""
-        if not self.is_exact_root:
-            return None
-        return self.turns.denominator if self.turns != 0 else 1
+        return self.turns.denominator if self.is_exact_root else None
+
+
+def power_cycles(roots: Sequence[UnitModulusNumber], m: int) -> list[list[complex]]:
+    """[u.power_value(n) for n < m] bit for bit for each root u, all read off one table.
+
+    Each u must be an exact root of order dividing m: u = T[k] for T[j] = rect(1, TAU (j/m)),
+    and u^n = T[k n mod m], as (num n mod den)/den and (k n mod m)/m are one rational.
+    """
+    if not all(u.is_exact_root and m % u.order() == 0 for u in roots):
+        raise ValueError(f"need exact roots of unity of order dividing {m}, got {roots}")
+    table = [cmath.rect(1.0, TAU * (j / m)) for j in range(m)]
+    steps = [u.turns.numerator * (m // u.turns.denominator) for u in roots]
+    return [[table[k * n % m] for n in range(m)] for k in steps]
 
 
 @dataclass(frozen=True)
@@ -132,10 +145,6 @@ class LambdaOrder:
 
     m: int | None
     suspicious: bool = False
-
-    @property
-    def finite(self) -> bool:
-        return self.m is not None
 
 
 def order_of_lambda(alpha: UnitModulusNumber, beta: UnitModulusNumber) -> LambdaOrder:
@@ -416,7 +425,7 @@ class ResidueLimitsResult:
     ``values[i]`` their quotient on the sphere.  ``rank`` counts the
     distinct quotients: it is the order of lambda = alpha/beta.
     The diagnostics record how far h sits from the determinant identity
-    along consecutive residues, and the values from exact rank-periodicity.
+    along consecutive residues, and the values from rank-periodicity (exactly 0 at rank m).
     """
 
     m: int
@@ -455,24 +464,24 @@ def _h_with_residues(spec: EllipticCFSpec, rank: int, tol: float,
                      max_n: int) -> tuple[DirectH, ResidueLimitsResult]:
     """h to tol |alpha - beta|/2 within ``max_n`` terms, and ``residue_limits`` read off it."""
     alpha, beta = spec.alpha, spec.beta
-    if not (alpha.is_exact_root and beta.is_exact_root):
-        raise ValueError("residue limits require alpha and beta to be exact roots of unity")
-    m = math.lcm(alpha.order(), beta.order())
+    m = math.lcm(alpha.turns.denominator, beta.turns.denominator)
+    xs, ys = power_cycles((alpha, beta), m)  # raises unless both are exact roots
     gap = alpha.value - beta.value
     direct = compute_h_direct(spec, tol * abs(gap) / 2.0, max_n)
     h = direct.h
-    powers = [(alpha.power_value(i + 1), beta.power_value(i + 1)) for i in range(m)]
-    A = tuple((x * h.a + y * h.b) / gap for x, y in powers)
-    B = tuple((x * h.c + y * h.d) / gap for x, y in powers)
-    values = tuple(projective(a, b) for a, b in zip(A, B))
-    period_res = max(chordal_distance(values[j], values[(j + rank) % m]) for j in range(m))
+    ha, hb, hc, hd = h.a, h.b, h.c, h.d
+    powers = list(zip(xs[1:] + xs[:1], ys[1:] + ys[:1]))  # alpha^(i+1), beta^(i+1)
+    A = tuple([(x * ha + y * hb) / gap for x, y in powers])
+    B = tuple([(x * hc + y * hd) / gap for x, y in powers])
+    raw = list(map(quotient, A, B))
+    period_res = 0.0 if rank == m else max(chordal(raw[j], raw[(j + rank) % m]) for j in range(m))
 
     return direct, ResidueLimitsResult(
         m=m,
         rank=rank,
         A=A,
         B=B,
-        values=values,
+        values=tuple(map(point, raw)),
         det_product=direct.det_product,
         n_terms=direct.n_terms,
         det_identity_residual=abs(h.det - direct.det_product) / abs(gap),
@@ -591,10 +600,8 @@ def limit_set_report(
     else:
         direct, residue = compute_h_direct(spec, tol, max_n), None
     h_raw = direct.h
-    limit_points = None
-    if order.finite:
-        lam = spec.lam
-        limit_points = tuple(h_raw.apply(lam.power_value(j)) for j in range(order.m))
+    limit_points = None if order.m is None else tuple(
+        map(h_raw.apply, power_cycles((spec.lam,), order.m)[0]))
 
     return LimitSetReport(
         h=h_raw.normalized(),

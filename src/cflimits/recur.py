@@ -25,7 +25,7 @@ from ._numpy import np
 from . import matprod as _mp
 from .cf import renorm_exponent
 from .errors import RootsNotDistinctError, RootsNotUnitModulusError
-from .limitset import UnitModulusNumber
+from .limitset import UnitModulusNumber, power_cycles
 
 CoefficientRow = Callable[[int], Sequence[complex]]
 
@@ -223,14 +223,12 @@ def residue_limits_recurrence(
     against the limit recurrence l_{n+p} = sum a_r l_{n+r} (periodic
     extension).
     """
-    orders = [r.order() for r in rec.roots]
-    if any(o is None for o in orders):
-        raise ValueError("residue limits need exact root-of-unity spectra")
-    m = math.lcm(*orders)
+    m = math.lcm(*(r.turns.denominator for r in rec.roots))
+    cycles = power_cycles(rec.roots, m)  # raises unless every root is exact
     p = rec.order
 
     coeffs = asymptotic_coefficients(rec, initial, tol)
-    l = tuple(sum(coeffs.c[i] * rec.roots[i].power_value(j) for i in range(p)) for j in range(m))
+    l = tuple(sum(coeffs.c[i] * cycles[i][j] for i in range(p)) for j in range(m))
     rec_res = max(
         abs(sum(rec.limits[r] * l[(n + r) % m] for r in range(p)) - l[(n + p) % m]) for n in range(m)
     )

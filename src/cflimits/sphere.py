@@ -38,13 +38,11 @@ class ExtendedComplex:
     __slots__ = ("_z",)
 
     def __init__(self, z: complex | None = None):
-        if z is None:
-            self._z = None
-        else:
+        if z is not None:
             z = complex(z)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"finite point with non-finite components: {z!r}")
-            self._z = z
+        self._z = z
 
     @property
     def is_infinity(self) -> bool:
@@ -56,13 +54,6 @@ class ExtendedComplex:
         if self._z is None:
             raise ValueError("point at infinity has no finite value")
         return self._z
-
-    def reciprocal(self) -> "ExtendedComplex":
-        if self._z is None:
-            return ExtendedComplex(0.0)
-        if self._z == 0:
-            return INFINITY
-        return ExtendedComplex(1.0 / self._z)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExtendedComplex):
@@ -92,15 +83,17 @@ def as_extended(value) -> ExtendedComplex:
 
 
 def chordal_distance(x, y) -> float:
-    """Chordal metric on the sphere, 2|x-y| / sqrt((1+|x|^2)(1+|y|^2)).
+    """Chordal metric on the sphere, 2|x-y| / sqrt((1+|x|^2)(1+|y|^2)); see ``chordal``."""
+    return chordal(as_extended(x)._z, as_extended(y)._z)
+
+
+def chordal(xz: complex | None, yz: complex | None) -> float:
+    """``chordal_distance`` of two raw points: finite complex values, None for infinity.
 
     Values lie in [0, 2]; antipodal points (0 and infinity) realise 2.
     Large arguments are inverted first (an isometry), so the formula never
     overflows.
     """
-    x = as_extended(x)
-    y = as_extended(y)
-    xz, yz = x._z, y._z
     if xz is None:
         return 0.0 if yz is None else 2.0 / math.hypot(1.0, abs(yz))
     if yz is None:
@@ -110,7 +103,7 @@ def chordal_distance(x, y) -> float:
         # Not when the other point is tiny: inverting would only swap the two
         # (and recurse forever), and the direct formula cannot overflow there.
         if not 0.0 < min(x_abs, y_abs) < 1.0 / INVERT_ABOVE:
-            return chordal_distance(x.reciprocal(), y.reciprocal())
+            return chordal(None if xz == 0 else 1.0 / xz, None if yz == 0 else 1.0 / yz)
     return 2.0 * abs(xz - yz) / (math.hypot(1.0, x_abs) * math.hypot(1.0, y_abs))
 
 
@@ -178,19 +171,12 @@ class MobiusMap:
 
     def apply(self, z) -> ExtendedComplex:
         """Evaluate projectively: infinity -> a/c, poles -> infinity."""
-        z = as_extended(z)
-        if z.is_infinity:
-            w = 0.0 + 0.0j
-        elif abs(z.z) > 1.0:
-            w = 1.0 / z.z
-        else:
-            num = self.a * z.z + self.b
-            den = self.c * z.z + self.d
-            return projective(num, den)
+        z = as_extended(z)._z
+        if z is not None and abs(z) <= 1.0:
+            return projective(self.a * z + self.b, self.c * z + self.d)
         # (a z + b)/(c z + d) == (a + b w)/(c + d w) with w = 1/z.
-        num = self.a + self.b * w
-        den = self.c + self.d * w
-        return projective(num, den)
+        w = 0.0 + 0.0j if z is None else 1.0 / z
+        return projective(self.a + self.b * w, self.c + self.d * w)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """The map ``self`` after ``other`` (coefficient matrix product)."""
@@ -239,16 +225,30 @@ class MobiusMap:
 
 def projective(num: complex, den: complex) -> ExtendedComplex:
     """The sphere point num/den of a projective pair; (0, 0) has no value."""
+    return point(quotient(num, den))
+
+
+def quotient(num: complex, den: complex) -> complex | None:
+    """``projective`` as a raw point: the finite complex num/den, or None for infinity."""
     if den == 0:
         if num == 0:
             raise IndeterminateValueError("projective pair degenerated to (0, 0)")
-        return INFINITY
+        return None
     value = num / den
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         # Finite quotient beyond double range; on the sphere this is
         # indistinguishable from infinity at ~1e-308 chordal error.
+        return None
+    return value
+
+
+def point(z: complex | None) -> ExtendedComplex:
+    """The sphere point of a raw point that ``quotient`` has checked, with no second check."""
+    if z is None:
         return INFINITY
-    return ExtendedComplex(value)
+    p = object.__new__(ExtendedComplex)
+    p._z = z
+    return p
 
 
 def mobius_through(A, B, C) -> MobiusMap:

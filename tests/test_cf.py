@@ -327,19 +327,19 @@ class TestLimitAlongResidue:
 class TestModifiedValue:
     def test_zero_modification_equals_plain(self):
         fraction = golden_cf()
-        stream = C.convergents(fraction)
-        for _ in range(50):
-            stream.step()
-            assert stream.modified(0.0) == stream.value()
         plain = C.evaluate(fraction, 1e-12, 500)
         modified = C.modified_value(fraction, lambda n: 0.0, 1e-12, 500)
+        assert (modified.n, modified.last_delta) == (plain.n, plain.last_delta)
         assert chordal_distance(plain.value, modified.value) == 0.0
 
     def test_infinite_modification_uses_previous_pair(self):
-        stream = C.convergents(golden_cf())
-        stream.step()
-        stream.step()
-        assert stream.modified(INFINITY).z == 2.0  # P_1/Q_1
+        # Window 1 with a tol above the chordal diameter stops on the second sample, n = 2.
+        (first,) = C._subsequence_limits(golden_cf(), [(1, 1, lambda n: INFINITY)], 3.0, 1, 2)
+        assert (first.n, first.value.z) == (2, 2.0)  # P_1/Q_1
+        # So the whole sequence is the plain one, one step late.
+        plain = C.evaluate(golden_cf(), 1e-12, 500)
+        late = C.modified_value(golden_cf(), lambda n: INFINITY, 1e-12, 500)
+        assert (late.n, late.value, late.last_delta) == (plain.n + 1, plain.value, plain.last_delta)
 
     def test_constant_modification_shifts_periodic_fraction(self):
         # For the periodic fraction with fixed point w, modifying with w
@@ -362,6 +362,11 @@ class TestModifiedValue:
         separate = [C.modified_value(fraction, w, 1e-14, max_n) for w in modifiers]
         assert shared == separate
         assert [r.converged for r in shared] == ([False, True, False, False] if max_n == 25 else [True] * 4)
+
+    @pytest.mark.parametrize("w", [complex(math.nan, 0.0), complex(0.0, math.inf), math.inf])
+    def test_non_finite_modifier_raises(self, w):
+        with pytest.raises(ValueError, match="non-finite"):
+            C.modified_value(golden_cf(), lambda n: 0.5 if n < 5 else w, 1e-12, 100)
 
     def test_shared_stream_raises_at_the_zero_numerator(self):
         fraction = C.ContinuedFraction(0.0, lambda n: (0.0 if n == 7 else 1.0, 1.0))
@@ -408,10 +413,13 @@ class TestEquivalenceTransform:
             stream.step()
 
 
-@given(st.integers(min_value=0, max_value=60))
+@given(st.integers(min_value=1, max_value=60))
 def test_modified_with_zero_agrees_at_every_depth(n_steps):
-    stream = C.convergents(C.ContinuedFraction(0.5j, lambda n: (1.0 + 0.5j / n, 1.0 - 1j / n)))
-    for _ in range(n_steps):
-        stream.step()
-    if n_steps:
-        assert stream.modified(0.0) == stream.value()
+    # Window 1 with a tol above the chordal diameter: both stop on their
+    # second sample, n_steps, with the (modified) approximant there.
+    fraction = C.ContinuedFraction(0.5j, lambda n: (1.0 + 0.5j / n, 1.0 - 1j / n))
+    plain, modified = C._subsequence_limits(
+        fraction, [(n_steps - 1, 1, None), (n_steps - 1, 1, lambda n: 0.0)], 3.0, 1, n_steps
+    )
+    assert modified.n == plain.n == n_steps
+    assert modified.value == plain.value

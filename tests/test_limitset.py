@@ -95,6 +95,50 @@ class TestPowerValue:
             assert same_bits(u.power_value(n), u.power(n).value), (turns, n)
 
 
+class TestPowerCycles:
+    """``power_cycles`` reads every power of an exact root off one table, bit for bit."""
+
+    @staticmethod
+    def check(m: int, nums) -> None:
+        for num in nums:
+            u = U.root_of_unity(num, m)
+            (cycle,) = L.power_cycles([u], m)
+            assert len(cycle) == m
+            for n in range(2 * m + 1):
+                assert same_bits(cycle[n % m], u.power_value(n)), (num, m, n)
+
+    def test_every_root_of_order_up_to_64(self):
+        # Reduced fractions have orders dividing den, so this also covers
+        # tables longer than the root's own order.
+        for den in range(1, 65):
+            self.check(den, range(den))
+
+    @pytest.mark.parametrize("m", [960, 997])
+    def test_large_orders(self, m):
+        self.check(m, sorted({0, 1, 2, m // 2, m - 1, *range(3, m, 41)}))
+
+    def test_one_table_for_several_orders(self):
+        roots = [U.root_of_unity(1, 12), U.root_of_unity(7, 10), U.root_of_unity(0, 1)]
+        for u, cycle in zip(roots, L.power_cycles(roots, 60)):
+            assert all(same_bits(cycle[n], u.power_value(n)) for n in range(60))
+
+    @pytest.mark.parametrize(
+        "u", [U.from_angle(0.3), U(Fraction(1, 5), 1e-3), U(Fraction(1, 5), -1e-300), U.root_of_unity(1, 7)],
+        ids=["numeric-angle", "root-plus-residual", "tiny-residual", "order-not-dividing"],
+    )
+    def test_refuses_what_the_table_cannot_hold(self, u):
+        with pytest.raises(ValueError, match="exact roots of unity of order dividing 5"):
+            L.power_cycles([U.root_of_unity(2, 5), u], 5)
+
+    def test_numeric_angle_residue_limits_raise_before_any_term(self):
+        def never_called(n):
+            raise AssertionError("term formed")
+
+        spec = L.EllipticCFSpec(U(Fraction(1, 5), 0.25), U(Fraction(0), 0.25), never_called, never_called)
+        with pytest.raises(ValueError, match="exact roots"):
+            L.residue_limits(spec)
+
+
 class TestOrderOfLambda:
     def test_exact_roots(self):
         # quotient of e^(2 pi i/6) and e^(2 pi i 5/6) has order 3

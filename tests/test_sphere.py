@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cflimits.errors import DegenerateMapError, DegenerateTripleError
+from mpmath import mp
+
+from cflimits.errors import DegenerateMapError, DegenerateTripleError, IndeterminateValueError
 from cflimits.sphere import (
     INFINITY,
+    INVERT_ABOVE,
     Circle,
     ExtendedComplex,
     Line,
     MobiusMap,
+    chordal,
     chordal_distance,
     mobius_through,
+    projective,
+    quotient,
 )
 
 # Coefficients of the worked-example map, as published.
@@ -89,6 +95,68 @@ class TestChordalDistance:
             assert chordal_distance(x, z) <= (
                 chordal_distance(x, y) + chordal_distance(y, z) + 1e-12
             )
+
+
+def _reference_chordal(x, y) -> float:
+    """The chordal metric at 50 digits; None is infinity."""
+    with mp.workdps(50):
+        if x is None or y is None:
+            other = y if x is None else x
+            return 0.0 if other is None else float(2 / mp.sqrt(1 + abs(mp.mpc(other)) ** 2))
+        x, y = mp.mpc(x), mp.mpc(y)
+        return float(2 * abs(x - y) / mp.sqrt((1 + abs(x) ** 2) * (1 + abs(y) ** 2)))
+
+
+def _extended(z):
+    return INFINITY if z is None else ExtendedComplex(z)
+
+
+class TestRawPoints:
+    """``quotient`` and ``chordal`` are the bodies of ``projective`` and ``chordal_distance``."""
+
+    POINTS = [
+        None, 0j, 1 + 1j, -0.5j, 3e150 + 0j, -2e200j, 1e300 + 1e300j,
+        1e-160 + 0j, 5e-324j, complex(INVERT_ABOVE, 0.0), complex(0.0, 2 * INVERT_ABOVE),
+    ]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_chordal_matches_chordal_distance(self, x):
+        for y in self.POINTS:
+            d = chordal(x, y)
+            assert d.hex() == chordal_distance(_extended(x), _extended(y)).hex() == chordal(y, x).hex()
+            assert d == pytest.approx(_reference_chordal(x, y), rel=4e-16, abs=1e-300), (x, y)
+
+    def test_zero_infinity_and_tiny_against_huge(self):
+        assert chordal(0j, None) == chordal(None, 0j) == 2.0
+        assert chordal(None, None) == chordal(0j, 0j) == 0.0
+        assert chordal(1e-160j, -3e170 + 0j) == chordal(1e-300 + 0j, 1e200 + 0j) == 2.0
+        assert chordal(2e150 + 0j, None) == pytest.approx(1e-150)
+
+    @pytest.mark.parametrize(
+        "num, den, want",
+        [
+            (0j, 2 + 1j, 0j),
+            (3 + 4j, 1 - 2j, (3 + 4j) / (1 - 2j)),
+            (1 + 0j, 0j, None),
+            (3e150 + 0j, 1 + 0j, 3e150 + 0j),
+            (1e300 + 0j, 1e-300 + 0j, None),  # overflows: the point at infinity
+            (complex(1e308, 1e308), 0.5 + 0.5j, None),
+        ],
+    )
+    def test_quotient_matches_projective(self, num, den, want):
+        z = quotient(num, den)
+        point = projective(num, den)
+        if want is None:
+            assert z is None and point.is_infinity
+        else:
+            assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert (point.z.real.hex(), point.z.imag.hex()) == (z.real.hex(), z.imag.hex())
+
+    def test_zero_over_zero_still_raises(self):
+        with pytest.raises(IndeterminateValueError):
+            quotient(0j, 0j)
+        with pytest.raises(IndeterminateValueError):
+            projective(0j, -0.0 + 0j)
 
 
 class TestMobiusApply:

@@ -16,7 +16,7 @@ import pytest
 from cflimits import bauermuir, cf, limitset, matprod, qseries, recur
 from cflimits.errors import BudgetExceededError, NoConvergenceError, SeriesNotConvergedError
 from cflimits.limitset import EllipticCFSpec, UnitModulusNumber, geometric_spec
-from cflimits.sphere import as_extended, chordal_distance
+from cflimits.sphere import INFINITY, chordal_distance
 
 GOLDEN = cf.ContinuedFraction(1.0, lambda n: (1.0, 1.0))
 
@@ -88,7 +88,8 @@ class TestMonitor:
             cf.Monitor(tol, 4)
 
     def test_step_measures_distance_from_the_previous_term(self):
-        one, near = as_extended(1.0), as_extended(1.0005)
+        # Raw points: finite complex values, None for the point at infinity.
+        one, near = 1.0 + 0j, 1.0005 + 0j
         monitor = cf.Monitor(1e-3, 2)
         assert monitor.step(one, None) is None
         assert monitor.last_delta == math.inf
@@ -96,6 +97,15 @@ class TestMonitor:
         assert monitor.last_delta == chordal_distance(near, one) < 1e-3
         assert monitor.step(one, 1.0) == "window"
         assert monitor.last_term is one and monitor.last_delta == chordal_distance(one, near)
+        assert monitor.step(None, None) is None
+        assert monitor.last_delta == chordal_distance(INFINITY, one) == 2.0 / math.hypot(1.0, 1.0)
+
+    def test_first_step_at_infinity_has_no_previous_term(self):
+        monitor = cf.Monitor(1e-3, 1)
+        assert monitor.step(None, None) is None
+        assert monitor.last_delta == math.inf and monitor.last_term is None
+        assert monitor.step(None, None) == "window"
+        assert monitor.last_delta == 0.0
 
     def test_exhausted_carries_last_delta(self):
         monitor = cf.Monitor(1e-3, 4)
