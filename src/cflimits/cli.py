@@ -397,8 +397,11 @@ def cmd_figure(config: dict, args: argparse.Namespace) -> int:
         edges = [(-trim) + i * (2 * trim / 80) for i in range(81)]
         counts = [0] * 80
         for v in kept:
-            counts[min(int((v + trim) / (2 * trim / 80)), 79)] += 1
-        marker = conc.highest.z.real if conc.kind == "points" and not conc.highest.is_infinity else None
+            idx = min(int((v + trim) / (2 * trim / 80)), 79)
+            counts[idx] += 1
+        marker = None
+        if conc.kind == "points" and not conc.highest.is_infinity:
+            marker = conc.highest.z.real
         _svg.histogram_svg(svg_path, edges, counts, marker)
         peak = counts.index(max(counts))
         doc.update(count=count, dropped=len(points) - len(kept), peak_bin=[edges[peak], edges[peak + 1]])

@@ -465,14 +465,13 @@ def _h_with_residues(spec: EllipticCFSpec, rank: int, tol: float,
     """h to tol |alpha - beta|/2 within ``max_n`` terms, and ``residue_limits`` read off it."""
     alpha, beta = spec.alpha, spec.beta
     m = math.lcm(alpha.turns.denominator, beta.turns.denominator)
-    xs, ys = power_cycles((alpha, beta), m)  # raises unless both are exact roots
+    xs, ys = (c[1:] + c[:1] for c in power_cycles((alpha, beta), m))  # alpha^(i+1), beta^(i+1)
     gap = alpha.value - beta.value
     direct = compute_h_direct(spec, tol * abs(gap) / 2.0, max_n)
     h = direct.h
     ha, hb, hc, hd = h.a, h.b, h.c, h.d
-    powers = list(zip(xs[1:] + xs[:1], ys[1:] + ys[:1]))  # alpha^(i+1), beta^(i+1)
-    A = tuple([(x * ha + y * hb) / gap for x, y in powers])
-    B = tuple([(x * hc + y * hd) / gap for x, y in powers])
+    A = tuple([(x * ha + y * hb) / gap for x, y in zip(xs, ys)])
+    B = tuple([(x * hc + y * hd) / gap for x, y in zip(xs, ys)])
     raw = list(map(quotient, A, B))
     period_res = 0.0 if rank == m else max(chordal(raw[j], raw[(j + rank) % m]) for j in range(m))
 

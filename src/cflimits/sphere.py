@@ -243,9 +243,7 @@ def quotient(num: complex, den: complex) -> complex | None:
 
 
 def point(z: complex | None) -> ExtendedComplex:
-    """The sphere point of a raw point that ``quotient`` has checked, with no second check."""
-    if z is None:
-        return INFINITY
+    """The sphere point of a raw point that ``quotient`` has checked (None: infinity), unchecked."""
     p = object.__new__(ExtendedComplex)
     p._z = z
     return p
