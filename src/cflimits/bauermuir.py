@@ -166,9 +166,8 @@ def rbm_identity(
     times a ratio of two q-series (evaluated independently through the
     two-variable series P).  Returns (lhs, rhs, chordal residual).
     """
-    q = complex(q)
-    if not abs(q) < 1.0:
-        raise ValueError("|q| must be < 1")
+    params = _qs.QParams(q, min(tol, 1e-14))  # checks |q| < 1 and tol before any term
+    q = params.q
     lam = alpha / beta
     if lam.is_exact_root:
         raise RootOfUnityLambdaError("alpha/beta is a root of unity")
@@ -185,7 +184,6 @@ def rbm_identity(
         SeriesNotConvergedError, f"transformed fraction not stable after {max_n} terms"
     )
 
-    params = _qs.QParams(q, min(tol, 1e-14))
     numerator = _qs.pxy(q / av, bv / av, params)
     denominator = _qs.pxy(1.0 / av, bv / av, params)
     rhs = ExtendedComplex(-bv * numerator / denominator)

@@ -19,7 +19,8 @@ of consecutive small steps.  That criterion is a heuristic, not a proof.
 ``Monitor`` is the one place that counts such windows for every limit
 sequence of the package and the only stopping state; ``checked_tol`` is
 the one check of a tolerance, ``renorm_exponent`` the one power-of-two
-renormalizer, and ``geometric_tail`` the one geometric tail bound.
+renormalizer, ``geometric_tail`` the one geometric tail bound, and ``geometric_sequence`` and
+``poly_qn_sequence`` the one home of each perturbation model, a ``TailedSequence``.
 ``evaluate``, ``modified_value(s)`` and ``limit_along_residue`` all run
 through ``_subsequence_limits``, the one loop over approximant
 subsequences, which keeps one ``Monitor`` per subsequence.
@@ -35,6 +36,8 @@ from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleErro
 from .sphere import ExtendedComplex, as_extended, chordal, point, projective, quotient
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
+#: (n -> x_n, N -> a bound on sum_{n>N} |x_n|); its constructors check their range before any term.
+TailedSequence = tuple[Callable[[int], complex], Callable[[int], float]]
 #: n -> w(n), the value that replaces the tail of the n-th approximant.
 Modifier = Callable[[int], complex | ExtendedComplex]
 
@@ -108,6 +111,24 @@ def renorm_exponent(mag: float, threshold: float) -> int:
 def geometric_tail(weight: float, ratio: float) -> Callable[[int], float]:
     """n -> sum_{k>n} weight * ratio**k for 0 <= ratio < 1 (and n >= 0)."""
     return lambda n: weight * ratio ** (n + 1) / (1.0 - ratio)
+
+
+def geometric_sequence(coeff: complex, ratio: float) -> TailedSequence:
+    """n -> coeff * ratio**n and its tail bound; ValueError unless 0 <= ratio < 1."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"ratio must lie in [0, 1), got {ratio!r}")
+    return (lambda n: coeff * ratio**n), geometric_tail(abs(coeff), ratio)
+
+
+def poly_qn_sequence(coeffs: Sequence[complex], q: complex) -> TailedSequence:
+    """n -> sum_{j>0} c_j q**(n*j) and its tail bound; ValueError unless |q| < 1 and c_0 = 0."""
+    coeffs, q = tuple(coeffs), complex(q)
+    if not abs(q) < 1.0:
+        raise ValueError(f"|q| must be < 1, got {abs(q)!r}")
+    if coeffs and coeffs[0] != 0:
+        raise ValueError(f"the constant term must be zero, got {coeffs[0]!r}")
+    poly = lambda n: sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0)
+    return poly, geometric_tail(sum(abs(c) for c in coeffs[1:]), abs(q))
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def _number(obj: dict, key: str, where: str, default: Any, kind: type) -> Any:
     return number
 
 
-def _ratio(obj: dict, where: str, default: float | None = None) -> float:
-    """A geometric ratio in [0, 1); required unless a default is given."""
+def _ratio(obj: dict, where: str, default: float) -> float:
+    """A geometric ratio in [0, 1), ``default`` when the field is absent."""
     ratio = _number(obj, "ratio", where, default, float)
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"{where}.ratio must lie in [0, 1)")
@@ -178,31 +178,26 @@ def _unit_point(obj: Any, where: str) -> UnitModulusNumber:
     raise ConfigError(f'{where}: expected {{"root": [num, den]}} or {{"angle": "..."}}')
 
 
-def _sequence(obj: Any, where: str) -> tuple[Callable[[int], complex], Callable[[int], float]]:
-    """Sequence descriptor -> (generator, tail bound on sum of |values|)."""
+def _sequence(obj: Any, where: str) -> _cf.TailedSequence:
+    """Sequence descriptor -> ``cf``'s (generator, tail bound on sum of |values|)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError(f"{where}: expected a sequence descriptor object")
     kind = obj["type"]
-    if kind == "zero":
-        _require_keys(obj, {"type"}, where)
-        return (lambda n: 0.0), (lambda n: 0.0)
-    if kind == "geometric":
-        _require_keys(obj, {"type", "coefficient", "ratio"}, where)
-        coeff = _complex_of(obj.get("coefficient", 1.0), f"{where}.coefficient")
-        ratio = _ratio(obj, where)
-        return (lambda n: coeff * ratio**n), _cf.geometric_tail(abs(coeff), ratio)
-    if kind == "poly-qn":
-        _require_keys(obj, {"type", "q", "coefficients"}, where)
-        q = _complex_of(_field(obj, "q", where), f"{where}.q")
-        if not abs(q) < 1.0:
-            raise ConfigError(f"{where}.q needs |q| < 1")
-        coeffs = [_complex_of(c, f"{where}.coefficients") for c in _list(obj, "coefficients", where)]
-        if coeffs and coeffs[0] != 0:
-            raise ConfigError(f"{where}.coefficients must have zero constant term")
-        return (
-            lambda n: sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0),
-            _cf.geometric_tail(sum(abs(c) for c in coeffs[1:]), abs(q)),
-        )
+    try:  # the cf constructors check the ranges; the message names the field
+        if kind == "zero":
+            _require_keys(obj, {"type"}, where)
+            return _cf.geometric_sequence(0.0, 0.0)
+        if kind == "geometric":
+            _require_keys(obj, {"type", "coefficient", "ratio"}, where)
+            coeff = _complex_of(obj.get("coefficient", 1.0), f"{where}.coefficient")
+            return _cf.geometric_sequence(coeff, _number(obj, "ratio", where, None, float))
+        if kind == "poly-qn":
+            _require_keys(obj, {"type", "q", "coefficients"}, where)
+            q = _complex_of(_field(obj, "q", where), f"{where}.q")
+            coeffs = [_complex_of(c, f"{where}.coefficients") for c in _list(obj, "coefficients", where)]
+            return _cf.poly_qn_sequence(coeffs, q)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.type must be zero | geometric | poly-qn, got {kind!r}")
 
 
@@ -214,11 +209,8 @@ def _elliptic_spec(obj: dict, where: str) -> _ls.EllipticCFSpec:
     alpha, beta, p, q = [_field(obj, key, where) for key in ("alpha", "beta", "p", "q")]
     alpha = _unit_point(alpha, f"{where}.alpha")
     beta = _unit_point(beta, f"{where}.beta")
-    p_gen, p_tail = _sequence(p, f"{where}.p")
-    q_gen, q_tail = _sequence(q, f"{where}.q")
-    return _ls.EllipticCFSpec(
-        alpha, beta, p_gen, q_gen, lambda n: p_tail(n) + q_tail(n)
-    )
+    (p_gen, p_tail), (q_gen, q_tail) = _sequence(p, f"{where}.p"), _sequence(q, f"{where}.q")
+    return _ls.EllipticCFSpec(alpha, beta, p_gen, q_gen, lambda n: p_tail(n) + q_tail(n))
 
 
 def _matrix_of(obj: Any, where: str) -> np.ndarray:

@@ -196,19 +196,8 @@ def geometric_spec(
     q_ratio: float = 0.0,
 ) -> EllipticCFSpec:
     """Spec with p_n = cp * rp**n and q_n = cq * rq**n and an exact tail bound."""
-    for ratio in (p_ratio, q_ratio):
-        if not 0.0 <= ratio < 1.0:
-            raise ValueError("geometric ratios must lie in [0, 1)")
-
-    p_tail = _cf.geometric_tail(abs(p_coeff), p_ratio)
-    q_tail = _cf.geometric_tail(abs(q_coeff), q_ratio)
-    return EllipticCFSpec(
-        alpha,
-        beta,
-        lambda n: p_coeff * p_ratio**n,
-        lambda n: q_coeff * q_ratio**n,
-        lambda n: p_tail(n) + q_tail(n),
-    )
+    (p, p_tail), (q, q_tail) = _cf.geometric_sequence(p_coeff, p_ratio), _cf.geometric_sequence(q_coeff, q_ratio)
+    return EllipticCFSpec(alpha, beta, p, q, lambda n: p_tail(n) + q_tail(n))
 
 
 def build_cf(spec: EllipticCFSpec) -> _cf.ContinuedFraction:
@@ -546,24 +535,8 @@ def q_cf_rank(
     geometrically.  Requires |q| < 1 and g(q^n) != w1 w2 for all n (checked
     lazily).
     """
-    q = complex(q)
-    if not abs(q) < 1.0:
-        raise ValueError("|q| must be < 1")
-    for coeffs in (f_coeffs, g_coeffs):
-        if len(coeffs) and coeffs[0] != 0:
-            raise ValueError("polynomials must have zero constant term")
-
-    def poly(coeffs):
-        return lambda n: sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0)
-
-    weight = sum(abs(c) for c in list(f_coeffs)[1:]) + sum(abs(c) for c in list(g_coeffs)[1:])
-    spec = EllipticCFSpec(
-        omega1,
-        omega2,
-        p=poly(f_coeffs),
-        q=poly(g_coeffs),
-        tail_bound=_cf.geometric_tail(weight, abs(q)),
-    )
+    (f, f_tail), (g, g_tail) = _cf.poly_qn_sequence(f_coeffs, q), _cf.poly_qn_sequence(g_coeffs, q)
+    spec = EllipticCFSpec(omega1, omega2, f, g, lambda n: f_tail(n) + g_tail(n))
     return residue_limits(spec, tol)
 
 

@@ -129,7 +129,7 @@ def wedderburn_product(
         norm = entry_norm(product)
         if not norm < math.inf:  # also NaN, which max(1.0, norm) would hide
             raise InvalidFactorError(f"partial product is not finite after A_{i}", i)
-        if d * max(1.0, norm) * math.expm1(tail_bound(i)) < tol:
+        if d * max(1.0, norm) * math.expm1(min(tail_bound(i), 709.0)) < tol:  # expm1(709.79) overflows
             return product
     raise BudgetExceededError(f"product tail above tolerance after {max_terms} factors")
 

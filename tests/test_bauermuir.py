@@ -274,3 +274,18 @@ class TestRbmIdentity:
     def test_root_of_unity_rejected(self):
         with pytest.raises(RootOfUnityLambdaError):
             BM.rbm_identity(0.3, U.root_of_unity(1, 4), U.root_of_unity(3, 4))
+
+    @pytest.mark.parametrize(
+        "q, tol, message",
+        [(1.0, 1e-12, r"\|q\| must be < 1"), (1.5j, 1e-12, r"\|q\| must be < 1"),
+         (complex(math.nan, 0.0), 1e-12, r"\|q\| must be < 1"),
+         (0.3, 0.0, "tol must be positive"), (0.3, math.nan, "tol must be positive")],
+        ids=["q-one", "q-outside", "q-nan", "tol-zero", "tol-nan"],
+    )
+    def test_q_and_tol_checked_before_the_fraction(self, monkeypatch, q, tol, message):
+        def never_evaluated(*args):
+            raise AssertionError("the fraction was evaluated")
+
+        monkeypatch.setattr(C, "evaluate", never_evaluated)
+        with pytest.raises(ValueError, match=message):
+            BM.rbm_identity(q, U.from_angle(math.sqrt(2.0)), U.from_angle(1.0), tol=tol)

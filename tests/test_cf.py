@@ -423,3 +423,100 @@ def test_modified_with_zero_agrees_at_every_depth(n_steps):
     )
     assert modified.n == plain.n == n_steps
     assert modified.value == plain.value
+
+
+class Untouchable:
+    """A coefficient that fails the test if a term or a tail is formed from it."""
+
+    def __mul__(self, other):
+        raise AssertionError("a term was formed")
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        raise AssertionError("a tail was formed")
+
+
+def hexes(values):
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex() for v in values]
+
+
+class TestSequenceConstructors:
+    NS = (0, 1, 2, 50, 10**4)
+
+    # Values at NS of the hand-built pairs these constructors replace:
+    # ``cli._sequence`` for "geometric" and "poly-qn" and ``geometric_spec``'s p.
+    RECORDED = {
+        "geometric-complex": (
+            (0.4 + 0.1j, 0.5),
+            [("0x1.999999999999ap-2", "0x1.999999999999ap-4"), ("0x1.999999999999ap-3", "0x1.999999999999ap-5"),
+             ("0x1.999999999999ap-4", "0x1.999999999999ap-6"), ("0x1.999999999999ap-52", "0x1.999999999999ap-54"),
+             ("0x0.0p+0", "0x0.0p+0")],
+            ["0x1.a634bd77fe1a5p-2", "0x1.a634bd77fe1a5p-3", "0x1.a634bd77fe1a5p-4", "0x1.a634bd77fe1a5p-52",
+             "0x0.0p+0"],
+        ),
+        "geometric-slow": (
+            (-0.3j, 0.95),
+            [("0x0.0p+0", "-0x1.3333333333333p-2"), ("0x0.0p+0", "-0x1.23d70a3d70a3dp-2"),
+             ("0x0.0p+0", "-0x1.153f7ced91687p-2"), ("0x0.0p+0", "-0x1.7a332f6e2d1cdp-6"),
+             ("0x0.0p+0", "-0x1.31f6e29d25cddp-742")],
+            ["0x1.6ccccccccccc7p+2", "0x1.5a8f5c28f5c23p+2", "0x1.493b645a1cabap+2", "0x1.c11cc852d591cp-2",
+             "0x1.6b552d1a9ce40p-738"],
+        ),
+        "geometric-real": (
+            (1.0, 0.3),
+            ["0x1.0000000000000p+0", "0x1.3333333333333p-2", "0x1.70a3d70a3d70ap-4", "0x1.1c638154c9cf4p-87",
+             "0x0.0p+0"],
+            ["0x1.b6db6db6db6dcp-2", "0x1.0750750750751p-3", "0x1.3bfa2608c6f2dp-5", "0x1.e786024835634p-89",
+             "0x0.0p+0"],
+        ),
+    }
+    POLY_RECORDED = (
+        ([0j, 0.5 + 0j, 0.25j, -0.125 + 0j], 0.3 + 0.2j),
+        [("0x1.8000000000000p-2", "0x1.0000000000000p-2"), ("0x1.f020c49ba5e35p-4", "0x1.b53f7ced91687p-4"),
+         ("0x1.6c9d9d3458cd1p-6", "0x1.d3ff25e56cd6cp-5"), ("-0x1.25c48c429e7bfp-76", "-0x1.33fec37c6d4e3p-75"),
+         ("0x0.0p+0", "0x0.0p+0")],
+        ["0x1.f937242c9ea36p-2", "0x1.6c50e590b89b1p-3", "0x1.06b64602b8e45p-4", "0x1.50b4946474003p-75",
+         "0x0.0p+0"],
+    )
+
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_geometric_matches_recorded_and_replaced_expressions(self, case):
+        (coeff, ratio), values, tails = self.RECORDED[case]
+        gen, tail = C.geometric_sequence(coeff, ratio)
+        assert hexes(gen(n) for n in self.NS) == values
+        assert hexes(tail(n) for n in self.NS) == tails
+        assert hexes(gen(n) for n in self.NS) == hexes(coeff * ratio**n for n in self.NS)
+        replaced = C.geometric_tail(abs(coeff), ratio)
+        assert hexes(tail(n) for n in self.NS) == hexes(replaced(n) for n in self.NS)
+
+    def test_poly_qn_matches_recorded_and_replaced_expressions(self):
+        (coeffs, q), values, tails = self.POLY_RECORDED
+        gen, tail = C.poly_qn_sequence(coeffs, q)
+        assert hexes(gen(n) for n in self.NS) == values
+        assert hexes(tail(n) for n in self.NS) == tails
+        replaced = [sum(c * q ** (n * j) for j, c in enumerate(coeffs) if j > 0) for n in self.NS]
+        assert hexes(gen(n) for n in self.NS) == hexes(replaced)
+        weight = sum(abs(c) for c in coeffs[1:])
+        assert hexes(tail(n) for n in self.NS) == hexes(C.geometric_tail(weight, abs(q))(n) for n in self.NS)
+
+    def test_zero_is_geometric_with_zero_coefficient_and_ratio(self):
+        gen, tail = C.geometric_sequence(0.0, 0.0)
+        # The "zero" descriptor was (lambda n: 0.0), (lambda n: 0.0).
+        assert hexes(gen(n) for n in self.NS) == [(0.0).hex()] * len(self.NS)
+        assert hexes(tail(n) for n in self.NS) == [(0.0).hex()] * len(self.NS)
+
+    @pytest.mark.parametrize("ratio", [1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_bad_ratio_raises_before_any_term(self, ratio):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            C.geometric_sequence(Untouchable(), ratio)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, 0.6 + 0.8j, 2j, complex(math.nan, 0.0)])
+    def test_q_off_the_open_disc_raises_before_any_term(self, q):
+        with pytest.raises(ValueError, match=r"\|q\| must be < 1"):
+            C.poly_qn_sequence([0.0, Untouchable()], q)
+
+    @pytest.mark.parametrize("c0", [1.0, 1e-300j, -0.5])
+    def test_nonzero_constant_term_raises_before_any_term(self, c0):
+        with pytest.raises(ValueError, match="constant term must be zero"):
+            C.poly_qn_sequence([c0, Untouchable()], 0.3)

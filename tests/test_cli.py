@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mpref
 from cflimits import cli, svgfig
 from cflimits import limitset as L
 from cflimits.errors import ConfigError
@@ -195,13 +196,19 @@ class TestConfigValidation:
              "config.theta_limit: expected a square matrix"),
             ("matrix-product", dict(MP_CONFIG, m=[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]), "config.m: expected a square matrix"),
             ("matrix-product", dict(MP_CONFIG, m=[[1.0, 1.0], [0.0, 1.0]]), "not (numerically) diagonalizable"),
+            ("limit-set", dict(WORKED_CONFIG, p={"type": "geometric", "coefficient": 1.0, "ratio": 1.0}),
+             "config.p: ratio must lie in [0, 1), got 1.0"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "poly-qn", "q": [0.0, -1.0], "coefficients": [0, 1.0]}),
+             "config.q: |q| must be < 1, got 1.0"),
+            ("limit-set", dict(WORKED_CONFIG, p={"type": "poly-qn", "q": 0.3, "coefficients": [0.5, 1.0]}),
+             "config.p: the constant term must be zero, got (0.5+0j)"),
         ],
         ids=["rs-r-null", "tol-list", "ratio-null", "root-zero-order", "root-null", "mp-shape", "rs-shape",
              "mp-tol-nan", "mp-residue-tol-inf", "coefficient-re-null", "matrix-entry-im-null",
              "mp-entry-inf", "mp-entry-str-inf", "mp-pert-nan", "coefficient-inf", "poly-coefficient-inf",
              "rec-limit-nan", "order-fraction", "order-bool", "root-fraction", "max-n-inf", "tol-bool",
              "k-max-fraction", "coefficient-bool", "entry-im-bool", "mp-ragged", "rs-ragged",
-             "mp-not-square", "mp-jordan"],
+             "mp-not-square", "mp-jordan", "geometric-ratio", "poly-q-on-circle", "poly-constant-term"],
     )
     def test_bad_scalar_or_shape_is_config_error(self, tmp_path, capsys, command, config, field):
         path = write_config(tmp_path, "bad.json", config)
@@ -474,6 +481,23 @@ class TestOtherCommands:
         assert cli.main(["matrix-product", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["residue_limits"]) == 2
+
+    def test_matrix_product_residue_with_a_tail_too_large_for_expm1(self, tmp_path, capsys):
+        # The tail after period 1 is 4374, where expm1 overflowed: exit 1 with a traceback.
+        config = {
+            "kind": "matrix-product",
+            "mode": "residue",
+            "order": 2,
+            "m": [[0.0, 1.0], [1.0, 0.0]],
+            "perturbation": {"matrix": [[300.0, 0.0], [0.0, 300.0]], "ratio": 0.9},
+        }
+        path = write_config(tmp_path, "mp.json", config)
+        assert cli.main(["matrix-product", "--config", path]) == 0
+        f = np.array([[complex(*v) for v in row] for row in json.loads(capsys.readouterr().out)["f"]])
+        m_mp, e_mp = mpref.to_mp(config["m"]), mpref.to_mp(300.0 * np.eye(2))
+        want = mpref.period_limit(lambda n: m_mp + mpref.mp.mpf(0.9) ** n * e_mp, 2, 2, 0.9, "left")
+        assert abs(f).max() == pytest.approx(1.9085e72, rel=1e-4)
+        assert mpref.max_abs_error(f, want) < 1e-13 * abs(f).max()
 
     @pytest.mark.parametrize("mode", ["residue", "cocycle"])
     def test_matrix_product_bad_side_is_config_error(self, tmp_path, capsys, mode):

@@ -175,6 +175,15 @@ class TestWedderburn:
             MP.wedderburn_product(a_seq, lambda n: 1.0 if n < 2 else 0.0, 1e-12, side=side)
         assert info.value.n == 2
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tail_too_large_for_expm1_is_not_yet(self, side):
+        # tail_bound(1) = 1000: expm1 overflows above 709.78 and once raised a bare OverflowError.
+        got = MP.wedderburn_product(lambda i: 0.5**i * np.eye(2), lambda i: 2000 * 0.5**i, side=side)
+        half = mpref.mp.mpf(0.5)
+        want = mpref.partial_product(lambda i: (1 + half**i) * mpref.mp.eye(2), 2, mpref.negligible_index(0.5), side)
+        assert got[0, 0].real == pytest.approx(2.38423, abs=1e-5)
+        assert mpref.max_abs_error(got, want) < 1e-12
+
     @pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan])
     def test_tol_checked_before_any_factor(self, tol):
         # tol = inf once returned the first partial product; 0, -1 and NaN

@@ -14,8 +14,8 @@ import cflimits
 
 MODULES = sorted(pathlib.Path(cflimits.__file__).parent.glob("*.py"))
 
-LIMIT = 62
-LINES = 3349
+LIMIT = 61
+LINES = 3333
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
