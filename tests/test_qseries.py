@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import pytest
@@ -58,6 +59,33 @@ class TestQPochhammer:
         lhs = Q.qpochhammer(a, q, m + n)
         rhs = Q.qpochhammer(a, q, m) * Q.qpochhammer(a * q**m, q, n)
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+
+def _hex(z: complex) -> str:
+    return z.real.hex() + "," + z.imag.hex()
+
+
+class TestQPochhammerBits:
+    """Products recorded bit for bit, as ``.hex()`` of both parts."""
+
+    @pytest.mark.parametrize("n, bits", [
+        (0, "0x1.0000000000000p+0,0x0.0p+0"),
+        (1, "0x1.3333333333334p-2,0x1.999999999999ap-3"),
+        (5, "0x1.98e10c9004299p-3,0x1.df479da57e82ap-4"),
+        (40, "0x1.999f124d0c271p-3,0x1.d8bdf3b105ae4p-4"),
+    ])
+    def test_finite_products(self, n, bits):
+        assert _hex(Q.qpochhammer(0.7 - 0.2j, 0.35 + 0.1j, n)) == bits
+
+    def test_infinite_products_over_a_grid(self):
+        # 120 products: complex a, |q| up to 0.99 on both sides of the axis, tol 1e-15 .. 1e-6.
+        a_values = [0.5, -0.9 + 0.3j, 2.0 - 1.0j, 0.1j, 1.0]
+        q_values = [0.3, -0.6 + 0.2j, 0.99, 0.7j, cmath.rect(0.95, 1.0), -0.99]
+        tols = [1e-15, 1e-12, 1e-9, 1e-6]
+        bits = ";".join(_hex(Q.qpochhammer(a, q, tol=t)) for a in a_values for q in q_values for t in tols)
+        assert hashlib.sha256(bits.encode()).hexdigest() == (
+            "22bf29318d9cd210b1276a07ad163d54465d32a738e657b4118fdd5e0560f67b")
+        assert _hex(Q.qpochhammer(-0.9 + 0.3j, 0.99, tol=1e-15)) == "-0x1.511cd513e1d09p+109,-0x1.17e4fa2f0817ap+109"
 
 
 class TestPxy:
