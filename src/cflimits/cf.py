@@ -19,8 +19,8 @@ of consecutive small steps.  That criterion is a heuristic, not a proof.
 ``Monitor`` is the one place that counts such windows for every limit
 sequence of the package and the only stopping state; ``checked_tol`` is
 the one check of a tolerance, ``renorm_exponent`` the one power-of-two
-renormalizer, ``geometric_tail`` the one geometric tail bound, and ``geometric_sequence`` and
-``poly_qn_sequence`` the one home of each perturbation model, a ``TailedSequence``.
+renormalizer, ``geometric_tail`` the one geometric tail (it checks 0 <= ratio < 1), and
+``geometric_sequence`` and ``poly_qn_sequence`` each perturbation model's home, a ``TailedSequence``.
 ``evaluate``, ``modified_value(s)`` and ``limit_along_residue`` all run
 through ``_subsequence_limits``, the one loop over approximant
 subsequences, which keeps one ``Monitor`` per subsequence.
@@ -80,10 +80,10 @@ class Monitor:
             return "tail-bound"
         return None
 
-    def step(self, term: complex | None, tail_bound: float | None) -> str | None:
+    def step(self, term: complex | None) -> str | None:
         delta = math.inf if self.last_delta is None else chordal(term, self.last_term)
         self.last_term = term
-        return self.update(delta, tail_bound)
+        return self.update(delta)
 
     def exhausted(self, message: str, error=NoConvergenceError) -> NoConvergenceError:
         """The budget error to raise, carrying the last step size."""
@@ -108,16 +108,17 @@ def renorm_exponent(mag: float, threshold: float) -> int:
     return 0
 
 
-def geometric_tail(weight: float, ratio: float) -> Callable[[int], float]:
-    """n -> sum_{k>n} weight * ratio**k for 0 <= ratio < 1 (and n >= 0)."""
+def geometric_tail(coeff: complex, ratio: float) -> Callable[[int], float]:
+    """n -> sum_{k>n} |coeff| * ratio**k; ValueError unless 0 <= ratio < 1, before coeff is read."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"ratio must lie in [0, 1), got {ratio!r}")
+    weight = abs(coeff)
     return lambda n: weight * ratio ** (n + 1) / (1.0 - ratio)
 
 
 def geometric_sequence(coeff: complex, ratio: float) -> TailedSequence:
     """n -> coeff * ratio**n and its tail bound; ValueError unless 0 <= ratio < 1."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"ratio must lie in [0, 1), got {ratio!r}")
-    return (lambda n: coeff * ratio**n), geometric_tail(abs(coeff), ratio)
+    return (lambda n: coeff * ratio**n), geometric_tail(coeff, ratio)
 
 
 def poly_qn_sequence(coeffs: Sequence[complex], q: complex) -> TailedSequence:
@@ -293,7 +294,7 @@ def _subsequence_limits(
                 else:
                     z = quotient(stream.num + omega.z * stream.num_prev, stream.den + omega.z * stream.den_prev)
                 sampled[i] = n
-                if monitor.step(z, None):
+                if monitor.step(z):
                     results[i] = EvalResult(True, point(z), n, monitor.last_delta)
                     settled = True
         if settled:

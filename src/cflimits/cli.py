@@ -86,14 +86,6 @@ def _number(obj: dict, key: str, where: str, default: Any, kind: type) -> Any:
     return number
 
 
-def _ratio(obj: dict, where: str, default: float) -> float:
-    """A geometric ratio in [0, 1), ``default`` when the field is absent."""
-    ratio = _number(obj, "ratio", where, default, float)
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError(f"{where}.ratio must lie in [0, 1)")
-    return ratio
-
-
 def _complex_of(value: Any, where: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         parts = {"re": value[0], "im": value[1]}
@@ -228,8 +220,12 @@ def _matrix_perturbation(
     e = _matrix_of(_field(pert, "matrix", "config.perturbation"), "config.perturbation.matrix")
     if e.shape != limit.shape:
         raise ConfigError(f"config.perturbation.matrix must have the limit's shape {limit.shape}, got {e.shape}")
-    ratio = _ratio(pert, "config.perturbation", 0.5)
-    return (lambda k: limit + ratio**k * e), _cf.geometric_tail(_mp.entry_norm(e), ratio)
+    ratio = _number(pert, "ratio", "config.perturbation", 0.5, float)
+    try:  # cf checks the range; the message names the field
+        tail = _cf.geometric_tail(_mp.entry_norm(e), ratio)
+    except ValueError as exc:
+        raise ConfigError(f"config.perturbation: {exc}") from exc
+    return (lambda k: limit + ratio**k * e), tail
 
 
 def _budget(max_n: int) -> int:
@@ -523,26 +519,25 @@ def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
     perts = _list(config, "perturbations", "config", [{"coefficient": 0.0, "ratio": 0.0}] * p)
     if len(perts) != p:
         raise ConfigError("one perturbation per coefficient required")
-    parsed = []
-    weight = 0.0
-    max_ratio = 0.0
+    ratios, rows = [], []
     for item in perts:
         _require_keys(item, {"coefficient", "ratio"}, "config.perturbations[]")
         coeff = _complex_of(item.get("coefficient", 0.0), "perturbation coefficient")
-        ratio = _ratio(item, "config.perturbations[]", 0.0)
-        parsed.append((coeff, ratio))
-        weight += abs(coeff)
-        max_ratio = max(max_ratio, ratio)
+        ratios.append(_number(item, "ratio", "config.perturbations[]", 0.0, float))
+        try:
+            rows.append(_cf.geometric_sequence(coeff, ratios[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"config.perturbations[]: {exc}") from exc
     initial = [_complex_of(v, "config.initial") for v in _list(config, "initial", "config", [])]
     if len(initial) != p:
         raise ConfigError(f"need {p} initial values")
     tol = _number(config, "tol", "config", 1e-10, float)
 
     def coefficients(n: int):
-        return [limits[r] + parsed[r][0] * parsed[r][1] ** n for r in range(p)]
+        return [limit + gen(n) for limit, (gen, _) in zip(limits, rows)]
 
     # With every ratio 0 no bound is passed: a zero bound would stop at once.
-    tail = _cf.geometric_tail(weight, max_ratio) if max_ratio else None
+    tail = (lambda n: sum(row_tail(n) for _, row_tail in rows)) if any(ratios) else None
     rec = _rc.PoincareRecurrence.build(coefficients, limits, tail_bound=tail)
     result = _rc.asymptotic_coefficients(rec, initial, tol)
     doc = {
@@ -574,7 +569,7 @@ def cmd_rs_cf(config: dict, args: argparse.Namespace) -> int:
             "k": k,
             "approximant": None if sk is None else _ser_matrix(sk),
             "predicted": _ser_matrix(predicted),
-            "error": None if sk is None else float(np.max(np.abs(sk - predicted))),
+            "error": None if sk is None else _mp.entry_norm(sk - predicted),
         })
     doc = {
         "f": _ser_matrix(asym.f_matrix),

@@ -43,27 +43,19 @@ def qpochhammer(a: complex, q: complex, n: int | None = None, tol: float = 1e-15
     _cf.checked_tol(tol)
     a = complex(a)
     q = complex(q)
-    if n is not None:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        product = 1.0 + 0.0j
-        power = 1.0 + 0.0j
-        for _ in range(n):
-            product *= 1.0 - a * power
-            power *= q
-        return product
-    if not abs(q) < 1.0:
-        raise ValueError("infinite product needs |q| < 1")
-    product = 1.0 + 0.0j
-    power = 1.0 + 0.0j
-    r = abs(q)
-    for _ in range(100_000):
-        tail = abs(a) * abs(power) / (1.0 - r)
-        if tail < 0.5 * tol:
+    if n is not None and n < 0:
+        raise ValueError("n must be nonnegative")
+    # sum_{j>=k} |a q^j| for the factors still to come; ValueError unless |q| < 1.
+    tail = None if n is not None else _cf.geometric_tail(a, abs(q))
+    product = power = 1.0 + 0.0j
+    for k in range(100_000 if tail else n):
+        if tail and tail(k - 1) < 0.5 * tol:
             return product
         product *= 1.0 - a * power
         power *= q
-    raise SeriesNotConvergedError("q-product did not meet its tail bound")
+    if tail:
+        raise SeriesNotConvergedError("q-product did not meet its tail bound")
+    return product
 
 
 def pxy(x: complex, y: complex, params: QParams) -> complex:

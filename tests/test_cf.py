@@ -511,6 +511,15 @@ class TestSequenceConstructors:
         with pytest.raises(ValueError, match="ratio must lie in"):
             C.geometric_sequence(Untouchable(), ratio)
 
+    @pytest.mark.parametrize("ratio", [1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_geometric_tail_checks_the_ratio_before_the_coefficient(self, ratio):
+        with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\), got"):
+            C.geometric_tail(Untouchable(), ratio)
+
+    def test_geometric_tail_weighs_the_modulus_of_the_coefficient(self):
+        assert hexes(C.geometric_tail(-3.0 + 4.0j, 0.5)(n) for n in self.NS) == hexes(
+            C.geometric_tail(5.0, 0.5)(n) for n in self.NS)
+
     @pytest.mark.parametrize("q", [1.0, -1.0, 0.6 + 0.8j, 2j, complex(math.nan, 0.0)])
     def test_q_off_the_open_disc_raises_before_any_term(self, q):
         with pytest.raises(ValueError, match=r"\|q\| must be < 1"):

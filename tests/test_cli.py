@@ -272,6 +272,27 @@ class TestConfigValidation:
         assert exc.value.code == cli.EXIT_CONFIG
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("matrix-product", dict(MP_CONFIG, perturbation={"matrix": [[0.1, 0.0], [0.0, 0.1]], "ratio": 1.0}),
+             "config.perturbation: ratio must lie in [0, 1), got 1.0"),
+            ("matrix-product", dict(MP_CONFIG, perturbation={"matrix": [[0.1, 0.0], [0.0, 0.1]], "ratio": math.nan}),
+             "config.perturbation: ratio must lie in [0, 1), got nan"),
+            ("rs-cf", dict(RS_CONFIG, perturbation={"matrix": [[0.0, 0.0], [0.2, 0.1]], "ratio": 1.5}),
+             "config.perturbation: ratio must lie in [0, 1), got 1.5"),
+            ("recurrence", {"kind": "recurrence", "limits": [-1.0, 0.0], "initial": [1.0, 0.5],
+                            "perturbations": [{"coefficient": 0.5, "ratio": 0.3},
+                                              {"coefficient": 0.5, "ratio": -0.1}]},
+             "config.perturbations[]: ratio must lie in [0, 1), got -0.1"),
+        ],
+        ids=["mp-ratio-one", "mp-ratio-nan", "rs-ratio-above-one", "rec-ratio-negative"],
+    )
+    def test_ratio_out_of_range_names_the_field(self, tmp_path, capsys, command, config, message):
+        path = write_config(tmp_path, "bad.json", config)
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestLimitSetCommand:
     def test_worked_example_report(self, tmp_path, capsys):
@@ -528,6 +549,26 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["residual"] < 1e-8
         assert len(doc["c"]) == 2
+
+    def test_recurrence_with_unequal_ratios_matches_40_digit_reference(self, tmp_path, capsys):
+        # x_{n+2} = (-1 + 0.5 * 0.3^n) x_n + 0.5 * 0.6^n x_{n+1}: roots +-i, so four class limits.
+        config = {
+            "kind": "recurrence",
+            "limits": [-1.0, 0.0],
+            "perturbations": [{"coefficient": 0.5, "ratio": 0.3}, {"coefficient": 0.5, "ratio": 0.6}],
+            "initial": [1.0, 0.5],
+        }
+        path = write_config(tmp_path, "rec.json", config)
+        assert cli.main(["recurrence", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        roots, c = ([complex(*v) for v in doc[key]] for key in ("roots", "c"))
+        l = [sum(ci * root**j for ci, root in zip(c, roots)) for j in range(4)]
+        mp, half = mpref.mp, mpref.mp.mpf(0.5)
+        want = mpref.recurrence_residues(
+            lambda n: (-1 + half * mp.mpf(0.3) ** n, half * mp.mpf(0.6) ** n), (1.0, 0.5), 4, 0.6)
+        assert mpref.max_abs_diff(l, want) <= 1e-10
+        # The bound sums each row's own tail; one tail at the larger ratio stopped at 50.
+        assert doc["n_terms"] == 49
 
     def test_rs_cf_command(self, tmp_path, capsys):
         config = {

@@ -50,6 +50,14 @@ class TestQPochhammer:
         partial = Q.qpochhammer(0.2, 0.2, 18)
         assert abs(full - partial) < 1e-12
 
+    @pytest.mark.parametrize("q", [1.0, -1.0, 0.6 + 0.8j, 1.5j, complex(math.nan, 0.0)])
+    def test_infinite_product_off_the_open_disc_raises(self, q):
+        with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\), got"):
+            Q.qpochhammer(0.5, q)
+
+    def test_finite_product_takes_any_q(self):
+        assert Q.qpochhammer(0.1, 2.0, 3) == pytest.approx(0.9 * 0.8 * 0.6, abs=1e-15)
+
     @given(
         m=st.integers(min_value=0, max_value=12),
         n=st.integers(min_value=0, max_value=12),

@@ -91,20 +91,20 @@ class TestMonitor:
         # Raw points: finite complex values, None for the point at infinity.
         one, near = 1.0 + 0j, 1.0005 + 0j
         monitor = cf.Monitor(1e-3, 2)
-        assert monitor.step(one, None) is None
+        assert monitor.step(one) is None
         assert monitor.last_delta == math.inf
-        assert monitor.step(near, None) is None
+        assert monitor.step(near) is None
         assert monitor.last_delta == chordal_distance(near, one) < 1e-3
-        assert monitor.step(one, 1.0) == "window"
+        assert monitor.step(one) == "window"
         assert monitor.last_term is one and monitor.last_delta == chordal_distance(one, near)
-        assert monitor.step(None, None) is None
+        assert monitor.step(None) is None
         assert monitor.last_delta == chordal_distance(INFINITY, one) == 2.0 / math.hypot(1.0, 1.0)
 
     def test_first_step_at_infinity_has_no_previous_term(self):
         monitor = cf.Monitor(1e-3, 1)
-        assert monitor.step(None, None) is None
+        assert monitor.step(None) is None
         assert monitor.last_delta == math.inf and monitor.last_term is None
-        assert monitor.step(None, None) == "window"
+        assert monitor.step(None) == "window"
         assert monitor.last_delta == 0.0
 
     def test_exhausted_carries_last_delta(self):
