@@ -567,7 +567,7 @@ class TestOtherCommands:
         want = mpref.recurrence_residues(
             lambda n: (-1 + half * mp.mpf(0.3) ** n, half * mp.mpf(0.6) ** n), (1.0, 0.5), 4, 0.6)
         assert mpref.max_abs_diff(l, want) <= 1e-10
-        # The bound sums each row's own tail; one tail at the larger ratio stopped at 50.
+        # The stop that the sum of the two row tails gives.
         assert doc["n_terms"] == 49
 
     def test_rs_cf_command(self, tmp_path, capsys):
