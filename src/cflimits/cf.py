@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
+from .errors import InvalidFactorError, NoConvergenceError, ZeroPartialNumeratorError, ZeroScaleError
 from .sphere import ExtendedComplex, as_extended, chordal, point, projective, quotient
 
 TermGenerator = Callable[[int], tuple[complex, complex]]
@@ -153,24 +153,27 @@ class ContinuedFraction:
 class ConvergentStream:
     """Iterates the convergent recurrence of a continued fraction.
 
-    Attributes ``num``/``den`` hold the current stored pair and
-    ``num_prev``/``den_prev`` the previous one.  The true convergents are
+    Attributes ``num``/``den`` hold the current stored pair, ``num_abs``/``den_abs``
+    their magnitudes and ``num_prev``/``den_prev`` the previous pair.  The true convergents are
     the stored values times 2**exponent; ``unscaled`` returns them.  A step
-    advances and, when needed, rescales these four values and nothing else.
+    advances and, when needed, rescales these values and nothing else.
     """
+
+    __slots__ = ("cf", "n", "num_prev", "den_prev", "num", "den", "num_abs", "den_abs", "exponent")
 
     def __init__(self, cf: ContinuedFraction):
         self.cf = cf
         self.n = 0
         self.num_prev, self.den_prev = 1.0 + 0.0j, 0.0 + 0.0j
         self.num, self.den = complex(cf.b0), 1.0 + 0.0j
+        self.num_abs, self.den_abs = abs(self.num), 1.0
         self.exponent = 0
 
     def step(self, term: tuple[complex, complex] | None = None) -> None:
         """Advance by one term: ``term`` is (a_n, b_n) as ``cf.term(n)`` gives it, if at hand.
 
         The pairs are rescaled once their largest magnitude leaves
-        [1/RENORM_THRESHOLD, RENORM_THRESHOLD].
+        [1/RENORM_THRESHOLD, RENORM_THRESHOLD]; InvalidFactorError at n when it is not finite.
         """
         n = self.n + 1
         a, b = self.cf.term(n) if term is None else term
@@ -180,15 +183,19 @@ class ConvergentStream:
         self.num_prev, self.num = num, b * num + a * self.num_prev
         self.den_prev, self.den = den, b * den + a * self.den_prev
         self.n = n
-        mag = max(abs(self.num), abs(self.den), abs(num), abs(den))
+        mag = max(num_abs := abs(self.num), den_abs := abs(self.den), self.num_abs, self.den_abs)
+        self.num_abs, self.den_abs = num_abs, den_abs
         if not _RENORM_FLOOR <= mag <= RENORM_THRESHOLD:
-            k = renorm_exponent(mag, RENORM_THRESHOLD)  # 0 for a zero or NaN magnitude
+            if not mag < math.inf:  # NaN or infinity
+                raise InvalidFactorError(f"convergent P_{n}/Q_{n} is not finite", n)
+            k = renorm_exponent(mag, RENORM_THRESHOLD)  # 0 for a zero magnitude
             if k:
                 s = math.ldexp(1.0, -k)
                 self.num *= s
                 self.den *= s
                 self.num_prev *= s
                 self.den_prev *= s
+                self.num_abs, self.den_abs = abs(self.num), abs(self.den)
                 self.exponent += k
 
     def unscaled(self) -> tuple[complex, complex, complex, complex]:

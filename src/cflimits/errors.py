@@ -87,7 +87,7 @@ class UnboundedMProductsError(CFLimitsError, ValueError):
 
 
 class InvalidFactorError(CFLimitsError):
-    """Factor n of a matrix product is not finite, or is not the constant M."""
+    """Factor n of a matrix product, or convergent n of a fraction, is not finite; or factor n is not M."""
 
     def __init__(self, message: str, n: int):
         super().__init__(message)

@@ -266,6 +266,7 @@ def compute_h_direct(
     ``tol`` over ``STABILITY_WINDOW`` consecutive steps, or when 2 * max_{k<=n}(|P_k|, |Q_k|)
     * tail_bound(n) is: each coefficient has at most tail_bound(n) * sup_{k>=n} |P_k| (or
     |Q_k|) left to move, and twice the running magnitude bound estimates that supremum.
+    That cannot happen while 2 * tail_bound(max_n) >= tol (tail_bound is nonincreasing): it is read once.
     Also accumulates (beta - alpha) * prod(1 - q_n/(alpha beta)), which the
     determinant of h must equal.
     """
@@ -277,8 +278,10 @@ def compute_h_direct(
 
     monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
     mag_bound = scale = 1.0
+    if tail_bound is not None and 2.0 * mag_bound * tail_bound(max_n) >= tol:
+        tail_bound = None
     product = 1.0 + 0.0j
-    delta = math.inf
+    delta, tail, exponent = math.inf, None, 0
     for n in range(1, max_n + 1):
         q_n = complex(q(n))
         if q_n == ab:
@@ -289,9 +292,11 @@ def compute_h_direct(
                                 abs(p_n * stream.den + q_n * stream.den_prev))
         stream.step((-ab + q_n, absum + p_n))
         product *= 1.0 - q_n / ab
-        scale = math.ldexp(1.0, stream.exponent)
-        mag_bound = max(mag_bound, abs(stream.num * scale), abs(stream.den * scale))
-        tail = None if tail_bound is None else 2.0 * mag_bound * tail_bound(n)
+        if stream.exponent != exponent:
+            exponent, scale = stream.exponent, math.ldexp(1.0, stream.exponent)
+        if tail_bound is not None:
+            mag_bound = max(mag_bound, stream.num_abs * scale, stream.den_abs * scale)
+            tail = 2.0 * mag_bound * tail_bound(n)
         if monitor.update(delta, tail):
             break
     else:

@@ -75,7 +75,7 @@ class MatrixSequencePair:
     ``d_seq`` and ``m_seq`` must be pure in i (results are read after later calls);
     every ``m_seq(i)`` is M (``cocycle_limit`` raises InvalidFactorError at the
     first that differs), and M must pass ``unit_eigenbasis``.  ``tail_bound(N)``,
-    when given, bounds sum_{i>N} ||D_i - M||.
+    when given, bounds sum_{i>N} ||D_i - M|| and is nonincreasing with limit 0.
     """
 
     dim: int
@@ -86,9 +86,6 @@ class MatrixSequencePair:
 
     def __post_init__(self):
         _check_side(self.side)
-
-    def d(self, i: int) -> np.ndarray:
-        return self._square(self.d_seq(i))
 
     def m(self, i: int) -> np.ndarray:
         return self._square(self.m_seq(i))
@@ -154,14 +151,14 @@ def cocycle_limit(
 
     M = ``pair.m(1)`` = S diag(mu) S^-1 is decomposed once, before any D_i,
     and (M^n)^-1 = S diag(mu^-n) S^-1 comes from running products of mu^-1.
-    In each block of steps (``BLOCK_STEPS``) a log2-level scan of stacked
-    matmuls forms the partial products; F_n, the steps max|F_n - F_{n-1}|,
-    the tail bounds and the det(D_i) flags are array operations, and the
-    Monitor sees each step in order, as a step-by-step loop would.  The
-    tail bound is d^2 (B g)^2 max(1, ||F_n||) tail_bound(n): B = max_ij
-    sum_k |S_ik||S^-1_kj| times g, the largest |mu_k^{+-j}| up to the end of
-    the block, bounds every entry of M^j and M^-j.  A non-finite D_i, or an M_i other than M,
-    raises InvalidFactorError at i unless the loop stopped before it.
+    In each block of steps (``BLOCK_STEPS``), its D_i read by one array conversion, a log2-level
+    scan of stacked matmuls forms the partial products; F_n, the steps max|F_n - F_{n-1}|,
+    the tail bounds and the det(D_i) flags are array operations, and the Monitor sees each
+    step in order, as a step-by-step loop would.  The tail bound is d^2 (B g)^2 max(1, ||F_n||)
+    tail_bound(n): B = max_ij sum_k |S_ik||S^-1_kj| times g, the largest |mu_k^{+-j}| up to the
+    end of the block, bounds every entry of M^j and M^-j.  While d^2 B^2 tail_bound(max_terms)
+    >= tol it cannot stop the loop (tail_bound is nonincreasing): it is read once.  A non-finite
+    D_i, or an M_i other than M, raises InvalidFactorError at i unless the loop stopped before it.
     """
     d = pair.dim
     mul = _matmul if pair.side == "left" else (lambda a, b: _matmul(b, a))  # P_n = mul(P_{n-1}, D_n)
@@ -171,11 +168,17 @@ def cocycle_limit(
     monitor = Monitor(tol, STABILITY_WINDOW)
     product = np.eye(d, dtype=complex)
     f_prev = np.full((d, d), math.inf, dtype=complex)  # so the first step is inf
-    w, growth, nonsingular = np.ones(d, dtype=complex), 1.0, True  # w = mu^-n
+    w, growth, nonsingular, tail_bound = np.ones(d, dtype=complex), 1.0, True, pair.tail_bound  # w = mu^-n
+    if tail_bound is not None and d * d * (bound * growth) ** 2 * tail_bound(max_terms) >= tol:
+        tail_bound = None
     start, size = 1, BLOCK_STEPS[0]
     while start <= max_terms:
         steps = range(start, start + min(size, max_terms - start + 1))
-        block = np.array([pair.d(i) for i in steps])
+        factors = [pair.d_seq(i) for i in steps]
+        try:  # one conversion for the block; factor by factor, for the error, if it fails
+            block = np.array(factors, dtype=complex).reshape(len(steps), d, d)
+        except ValueError:  # ragged, or a factor without d^2 entries
+            block = np.array([pair._square(factor) for factor in factors])
         others = [(i, mi) for i in steps if (mi := pair.m_seq(i)) is not m]
         stop_at, message = steps.stop, None  # the first step the loop may not take
         if others:
@@ -200,10 +203,10 @@ def cocycle_limit(
         f = mul(block, _matmul(s * ws[:, None, :], s_inv))  # F_n = mul(P_n, S diag(mu^-n) S^-1)
         deltas = np.abs(f - np.concatenate((f_prev[None], f[:-1]))).max(axis=(1, 2)).tolist()
         tails = [None] * len(block)
-        if pair.tail_bound is not None:
+        if tail_bound is not None:
             mags = np.abs(ws)
             growth = max(growth, float(np.maximum(mags, 1.0 / mags).max()))
-            t = [pair.tail_bound(i) for i in range(start, stop_at)]
+            t = [tail_bound(i) for i in range(start, stop_at)]
             tails = (d * d * (bound * growth) ** 2 * np.maximum(np.abs(f).max(axis=(1, 2)), 1.0) * t).tolist()
         for k, (delta, tail) in enumerate(zip(deltas, tails)):
             if monitor.update(delta, tail):

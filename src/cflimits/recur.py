@@ -47,7 +47,7 @@ class PoincareRecurrence:
     """Recurrence data: order, coefficient rows, limits, roots, tail bound.
 
     ``coefficients(n)`` returns (a_{n,0}, ..., a_{n,p-1}) for n >= 0.
-    ``tail_bound(N)``, when given, bounds sum_{n>N} sum_r |a_r - a_{n,r}|.
+    ``tail_bound(N)``, when given, bounds sum_{n>N} sum_r |a_r - a_{n,r}| and is nonincreasing.
     Roots must be pairwise distinct points of the unit circle; they are
     solved from the limit coefficients unless supplied.
     """

@@ -36,7 +36,7 @@ class RSSystem:
     When ``theta_limit`` is given it must be diagonalizable with all
     eigenvalues on the unit circle (``matprod.unit_eigenbasis`` raises
     UnboundedMProductsError, a ValueError, otherwise); ``tail_bound(N)``
-    should bound sum_{k>N} ||theta_k - theta_limit||.
+    should bound sum_{k>N} ||theta_k - theta_limit|| and be nonincreasing.
     """
 
     r: int

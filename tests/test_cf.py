@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cflimits import cf as C
 from cflimits.errors import (
     IndeterminateValueError,
+    InvalidFactorError,
     ZeroPartialNumeratorError,
     ZeroScaleError,
 )
@@ -276,6 +277,14 @@ class TestEvaluate:
         result = C.evaluate(fraction, 1e-10, 100)
         assert result.converged
         assert result.value.z == 5.0
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1e308)])
+    def test_non_finite_convergent_raises_at_its_index(self, bad):
+        # A NaN b_5 once gave converged=True with the value infinity.
+        fraction = C.ContinuedFraction(1.0, lambda n: bad if n == 5 else (1.0, 1.0))
+        with pytest.raises(InvalidFactorError, match="P_5/Q_5 is not finite") as info:
+            C.evaluate(fraction, 1e-12, 100_000)
+        assert info.value.n == 5
 
     def test_zero_numerator_truncates_at_the_previous_approximant(self):
         fraction = C.ContinuedFraction(0.0, lambda n: (0.0 if n == 7 else 1.0, 1.0))

@@ -10,6 +10,7 @@ from cflimits import cf as C
 from cflimits import limitset as L
 from cflimits.errors import (
     EqualAlphaBetaError,
+    InvalidFactorError,
     NoConvergenceError,
     NotEllipticError,
     QEqualsAlphaBetaError,
@@ -331,6 +332,16 @@ class TestComputeHDirect:
             L.compute_h_direct(spec, 1e-12)
         assert info.value.n == 7
 
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_non_finite_perturbation_raises_at_its_index(self, tail):
+        # p_5 = NaN once spent the whole budget (no tail bound) or raised DegenerateMapError.
+        base = inverse_square_spec()
+        p = lambda n: math.nan if n == 5 else base.p(n)
+        spec = L.EllipticCFSpec(base.alpha, base.beta, p, base.q, base.tail_bound if tail else None)
+        with pytest.raises(InvalidFactorError, match="P_5/Q_5 is not finite") as info:
+            L.compute_h_direct(spec, 1e-12)
+        assert info.value.n == 5
+
     def test_each_perturbation_evaluated_once_per_step(self):
         calls = {"p": 0, "q": 0}
 
@@ -433,6 +444,54 @@ class TestComputeHDirectInverseSquare:
         assert counts == {1552: 2, 4857: 2}
 
 
+class TestComputeHDirectBudgetTail:
+    """A tail bound that cannot fall under tol within the budget is read once, at the budget."""
+
+    # inverse_square_spec() at tol 2e-6: n_terms, h, det_product, last_delta (.hex()).
+    RECORDED = (
+        1095,
+        [
+            ("0x1.3d47029fe99f3p-2", "0x1.bb2e7bf6e87e8p-6"),
+            ("-0x1.fbd75ac2a6136p-1", "-0x1.68f3929ff4290p-3"),
+            ("0x1.063e7f1d95f92p-4", "0x1.dcd56b3c9e68ep-4"),
+            ("-0x1.0010bdd1b1581p-1", "-0x1.d7620ac3fcddap-1"),
+        ],
+        ("-0x1.64a305c76628ep-4", "-0x1.6054d6832af75p-3"),
+        "0x1.01418a7fd18cap-19",
+    )
+
+    @staticmethod
+    def counted(spec, tail_bound):
+        calls = []
+        counting = lambda n: calls.append(n) or tail_bound(n)
+        return L.EllipticCFSpec(spec.alpha, spec.beta, spec.p, spec.q, counting), calls
+
+    @staticmethod
+    def bits(direct):
+        h = [hex_pair(c) for c in (direct.h.a, direct.h.b, direct.h.c, direct.h.d)]
+        return direct.n_terms, h, hex_pair(direct.det_product), direct.last_delta.hex()
+
+    def test_futile_bound_is_read_once_and_changes_no_bit(self):
+        spec = inverse_square_spec()  # 2 * tail_bound(100_000) = 2e-5 >= tol
+        counted, calls = self.counted(spec, spec.tail_bound)
+        direct = L.compute_h_direct(counted, 2e-6)
+        assert calls == [100_000]
+        assert self.bits(direct) == self.RECORDED
+        bare = L.EllipticCFSpec(spec.alpha, spec.beta, spec.p, spec.q)
+        assert self.bits(L.compute_h_direct(bare, 2e-6)) == self.RECORDED
+
+    @pytest.mark.parametrize("at_budget", [None, math.nan, -1.0])
+    def test_bound_read_each_step_unless_futile(self, worked_spec, at_budget):
+        # A geometric tail falls under tol; a NaN or negative value at the budget
+        # does not prove the bound futile, so both keep the per-step reads.
+        tail = worked_spec.tail_bound
+        bound = tail if at_budget is None else (lambda n: at_budget if n == 5000 else tail(n))
+        counted, calls = self.counted(worked_spec, bound)
+        direct = L.compute_h_direct(counted, 1e-12, 5000)
+        assert calls == [5000] + list(range(1, direct.n_terms + 1))
+        assert self.bits(direct) == self.bits(L.compute_h_direct(worked_spec, 1e-12, 5000))
+
+
 class TestComputeHViaModifications:
     def test_worked_example_triple(self, worked_spec):
         mods = L.compute_h_via_modifications(worked_spec, 1e-12, 5000)
@@ -519,6 +578,14 @@ class TestComputeHViaModifications:
         assert [hex_pair(c) for c in (mods.h.a, mods.h.b, mods.h.c, mods.h.d)] == h
         assert [hex_pair(v.z) for v in (mods.at_infinity, mods.at_zero, mods.at_one)] == targets
         assert (hex_pair(mods.s), hex_pair(mods.det_product)) == (s, det_product)
+
+    def test_non_finite_perturbation_raises_at_its_index(self, worked_spec):
+        # p_5 = NaN once raised DegenerateTripleError from the three NaN limits.
+        p = lambda n: math.nan if n == 5 else worked_spec.p(n)
+        spec = L.EllipticCFSpec(worked_spec.alpha, worked_spec.beta, p, worked_spec.q, worked_spec.tail_bound)
+        with pytest.raises(InvalidFactorError, match="P_5/Q_5 is not finite") as info:
+            L.compute_h_via_modifications(spec, 1e-12, 5000)
+        assert info.value.n == 5
 
     def test_root_spec_runs_pass_the_exact_tail_values(self):
         spec = self.root_spec()

@@ -545,6 +545,77 @@ def test_ill_conditioned_eigenbasis_matches_reference(side):
     assert mpref.max_abs_error(res.f, exact) < bound
 
 
+class TestCocycleBudgetTail:
+    """A tail bound that cannot fall under tol within the budget is read once, at the budget."""
+
+    @staticmethod
+    def bits(res):
+        return (hashlib.sha256(res.f.tobytes()).hexdigest(), res.n_terms,
+                (res.det_f.real.hex(), res.det_f.imag.hex()), res.d_all_nonsingular, res.last_delta.hex())
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_futile_bound_is_read_once_and_changes_no_bit(self, side):
+        # sum_{i>N} ||E||/i^2 <= 1/N, and d^2 B^2 / 200_000 = 2e-5 >= tol for the rotation.
+        calls = []
+        base = cocycle_spec(side, tail=False, singular=False)
+        pair = dataclasses.replace(base, tail_bound=lambda n: calls.append(n) or 1.0 / max(n, 1))
+        res = MP.cocycle_limit(pair, 1e-6)
+        assert calls == [200_000]
+        assert self.bits(res) == RECORDED_COCYCLES[side, False, False]
+        assert self.bits(MP.cocycle_limit(base, 1e-6)) == RECORDED_COCYCLES[side, False, False]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("at_budget", [None, math.nan, -1.0])
+    def test_bound_read_each_formed_step_unless_futile(self, side, at_budget):
+        calls, formed = [], []
+        base = cocycle_spec(side, tail=True, singular=False)
+        tail = lambda n: at_budget if at_budget is not None and n == 200_000 else base.tail_bound(n)
+        pair = dataclasses.replace(base, d_seq=lambda i: formed.append(i) or base.d_seq(i),
+                                   tail_bound=lambda n: calls.append(n) or tail(n))
+        res = MP.cocycle_limit(pair, 1e-9)
+        assert calls == [200_000] + formed
+        assert self.bits(res) == RECORDED_COCYCLES[side, True, False]
+
+
+class TestCocycleFactorShapes:
+    """Factors need only reshape to d x d, as at any step of a step-by-step loop."""
+
+    @staticmethod
+    def run(side, shape):
+        base = cocycle_spec(side, tail=False, singular=False)
+        def d_seq(i):
+            d = base.d_seq(i)
+            return d.ravel().tolist() if shape == "flat" or (shape == "mixed" and i % 3) else d.tolist()
+        return MP.cocycle_limit(dataclasses.replace(base, d_seq=d_seq), 1e-6)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("shape", ["flat", "nested", "mixed"])
+    def test_lists_give_the_recorded_bits(self, side, shape):
+        res = self.run(side, shape)
+        assert TestCocycleBudgetTail.bits(res) == RECORDED_COCYCLES[side, False, False]
+
+    @pytest.mark.parametrize("at", [3, 20, 100])
+    @pytest.mark.parametrize("bad", [[1.0] * 5, np.ones((3, 3)), [[1.0, 0.0], [0.0]]], ids=["size-5", "3x3", "ragged"])
+    def test_wrong_size_raises_the_numpy_error(self, at, bad):
+        # The error of converting that one factor, e.g. "cannot reshape array of size 5 into shape (2,2)".
+        with pytest.raises(ValueError) as expected:
+            np.asarray(bad, dtype=complex).reshape(2, 2)
+        m = rotation(0.7)
+        pair = MP.MatrixSequencePair(2, lambda i: bad if i == at else (m + E / (i * i)).ravel().tolist(),
+                                     lambda i: m)
+        with pytest.raises(ValueError) as info:
+            MP.cocycle_limit(pair, 1e-6)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_flat_factor_raises_at_its_index(self, bad):
+        m = rotation(0.7)
+        d_seq = lambda i: [bad] * 4 if i == 21 else (m + E / (i * i)).ravel().tolist()
+        with pytest.raises(InvalidFactorError, match="D_21 is not finite") as info:
+            MP.cocycle_limit(MP.MatrixSequencePair(2, d_seq, lambda i: m, lambda n: 1.0 / n), 1e-6)
+        assert info.value.n == 21
+
+
 class TestCocycleReference:
     """cocycle_limit against 40-digit references that share no code with it."""
 

@@ -15,7 +15,7 @@ import cflimits
 MODULES = sorted(pathlib.Path(cflimits.__file__).parent.glob("*.py"))
 
 LIMIT = 61
-LINES = 3321
+LINES = 3336
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
