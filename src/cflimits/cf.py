@@ -185,8 +185,8 @@ class ConvergentStream:
         self.n = n
         mag = max(num_abs := abs(self.num), den_abs := abs(self.den), self.num_abs, self.den_abs)
         self.num_abs, self.den_abs = num_abs, den_abs
-        if not _RENORM_FLOOR <= mag <= RENORM_THRESHOLD:
-            if not mag < math.inf:  # NaN or infinity
+        if not _RENORM_FLOOR <= mag <= RENORM_THRESHOLD or den_abs != den_abs:  # max skips a NaN |Q_n|
+            if not mag < math.inf or den_abs != den_abs:  # NaN or infinity
                 raise InvalidFactorError(f"convergent P_{n}/Q_{n} is not finite", n)
             k = renorm_exponent(mag, RENORM_THRESHOLD)  # 0 for a zero magnitude
             if k:

@@ -519,13 +519,13 @@ def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
     perts = _list(config, "perturbations", "config", [{"coefficient": 0.0, "ratio": 0.0}] * p)
     if len(perts) != p:
         raise ConfigError("one perturbation per coefficient required")
-    ratios, rows = [], []
+    rows = []
     for item in perts:
         _require_keys(item, {"coefficient", "ratio"}, "config.perturbations[]")
         coeff = _complex_of(item.get("coefficient", 0.0), "perturbation coefficient")
-        ratios.append(_number(item, "ratio", "config.perturbations[]", 0.0, float))
+        ratio = _number(item, "ratio", "config.perturbations[]", 0.0, float)
         try:
-            rows.append(_cf.geometric_sequence(coeff, ratios[-1]))
+            rows.append(_cf.geometric_sequence(coeff, ratio))
         except ValueError as exc:
             raise ConfigError(f"config.perturbations[]: {exc}") from exc
     initial = [_complex_of(v, "config.initial") for v in _list(config, "initial", "config", [])]
@@ -536,8 +536,7 @@ def cmd_recurrence(config: dict, args: argparse.Namespace) -> int:
     def coefficients(n: int):
         return [limit + gen(n) for limit, (gen, _) in zip(limits, rows)]
 
-    # With every ratio 0 no bound is passed: a zero bound would stop at once.
-    tail = (lambda n: sum(row_tail(n) for _, row_tail in rows)) if any(ratios) else None
+    tail = lambda n: sum(row_tail(n) for _, row_tail in rows)
     rec = _rc.PoincareRecurrence.build(coefficients, limits, tail_bound=tail)
     result = _rc.asymptotic_coefficients(rec, initial, tol)
     doc = {

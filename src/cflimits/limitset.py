@@ -35,9 +35,9 @@ from .errors import (
 )
 from .sphere import (
     INFINITY,
-    LINE_RTOL,
     CircleOrLine,
     ExtendedComplex,
+    Line,
     MobiusMap,
     chordal,
     chordal_distance,
@@ -113,9 +113,6 @@ class UnitModulusNumber:
     def __truediv__(self, other: "UnitModulusNumber") -> "UnitModulusNumber":
         return UnitModulusNumber(self.turns - other.turns, self.residual - other.residual)
 
-    def is_one(self) -> bool:
-        return self.turns == 0 and self.residual == 0.0
-
     def order(self) -> int | None:
         """Least m with self**m == 1, or None when no such m is tracked."""
         return self.turns.denominator if self.is_exact_root else None
@@ -148,9 +145,9 @@ class LambdaOrder:
 
 
 def order_of_lambda(alpha: UnitModulusNumber, beta: UnitModulusNumber) -> LambdaOrder:
-    lam = alpha / beta
-    if lam.is_one() or alpha.value == beta.value:
+    if alpha.value == beta.value:
         raise EqualAlphaBetaError("alpha and beta coincide")
+    lam = alpha / beta
     if lam.is_exact_root:
         return LambdaOrder(lam.order())
     t = (float(lam.turns) + lam.residual / TAU) % 1.0
@@ -221,10 +218,9 @@ def tail_omega(alpha: UnitModulusNumber, beta: UnitModulusNumber, n: int) -> Ext
     root-of-unity data produces exact zeros: the value is 0 when lambda^n = 1
     and infinity when lambda^(n-1) = 1 (both cannot happen since alpha != beta).
     """
-    lam = alpha / beta
-    if lam.is_one():
+    if alpha.value == beta.value:
         raise EqualAlphaBetaError("alpha and beta coincide")
-    return _tail_value(lam, beta.value, n)
+    return _tail_value(alpha / beta, beta.value, n)
 
 
 def _tail_value(lam: UnitModulusNumber, bv: complex, n: int) -> ExtendedComplex:
@@ -404,7 +400,7 @@ def concentration_points(h: MobiusMap, m: int | None) -> Concentration:
     if abs(c) < 1e-14 * scale or abs(d) < 1e-14 * scale:
         return Concentration("uniform")
     ac, bd = a / c, b / d
-    if abs(abs(c) - abs(d)) < LINE_RTOL * (abs(c) + abs(d)):
+    if isinstance(h.image_of_unit_circle(), Line):
         return Concentration("points", ExtendedComplex((ac + bd) / 2.0), INFINITY)
     highest = (ac * abs(c) + bd * abs(d)) / (abs(c) + abs(d))
     lowest = (-ac * abs(c) + bd * abs(d)) / (-abs(c) + abs(d))

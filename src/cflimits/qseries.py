@@ -22,7 +22,7 @@ from .sphere import (
 
 @dataclass(frozen=True)
 class QParams:
-    """Base q together with the truncation policy for series and products."""
+    """Base q and the truncation tol of the q-series; the one check of |q| < 1 for them."""
 
     q: complex
     tol: float = 1e-14
@@ -81,9 +81,9 @@ def pxy(x: complex, y: complex, params: QParams) -> complex:
         term *= x * qn / (d1 * d2)
         total += term
         # Ratio of consecutive terms is eventually ~ |x| r^(n+1); once it is
-        # under 1/2 the remaining tail is below twice the next term.
+        # under 1/2 the remaining tail is below |term| / (1 - ratio) < 2 |term|.
         ratio = abs(x) * r ** (n + 1) / max((1.0 - r ** (n + 1)) * abs(1.0 - y * qn * q), 1e-300)
-        if abs(term) * max(ratio, 1.0) / max(1.0 - ratio, 0.5) < 0.25 * params.tol and ratio < 0.5:
+        if ratio < 0.5 and abs(term) / (1.0 - ratio) < 0.25 * params.tol:
             return total
     raise SeriesNotConvergedError("series P(x, y) did not meet its tail bound")
 
@@ -128,9 +128,7 @@ def verify_ramanujan_claim(
     index only through its class, which callers may check by varying it).
     Returns (lhs, rhs, chordal residual).
     """
-    q = complex(q)
-    if not abs(q) < 1.0:
-        raise ValueError("|q| must be < 1")
+    q = QParams(q, tol).q
     a = complex(a)
     j = residue % 3
     if representative is not None and representative % 3 != j:

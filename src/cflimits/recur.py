@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from ._numpy import np
 from . import matprod as _mp
-from .cf import renorm_exponent
+from .cf import RENORM_THRESHOLD, renorm_exponent
 from .errors import RootsNotDistinctError, RootsNotUnitModulusError
 from .limitset import UnitModulusNumber, power_cycles
 
@@ -118,8 +118,8 @@ class PoincareRecurrence:
 def _solution(coefficients: CoefficientRow, initial: Sequence[complex]) -> Iterator[tuple[complex, int]]:
     """(x_n 2**-e_n, e_n) for n = 0, 1, ... of x_{n+p} = sum_r a_{n,r} x_{n+r}.
 
-    Row n is read once x_n is out.  The state is rescaled exactly, by a
-    power of two, whenever its largest entry leaves [1e-100, 1e100], so
+    Row n is read once x_n is out.  The state is rescaled exactly, by a power of two, whenever
+    its largest entry leaves [1/RENORM_THRESHOLD, RENORM_THRESHOLD], as convergents are, so
     solutions neither overflow nor underflow; e_n is the exponent so far.
     """
     state = [complex(v) for v in initial]
@@ -129,7 +129,7 @@ def _solution(coefficients: CoefficientRow, initial: Sequence[complex]) -> Itera
         yield state[0], exponent
         row = coefficients(n)
         state = state[1:] + [sum(complex(row[r]) * state[r] for r in range(p))]
-        k = renorm_exponent(max(map(abs, state)), 1e100)
+        k = renorm_exponent(max(map(abs, state)), RENORM_THRESHOLD)
         if k:
             s = math.ldexp(1.0, -k)
             state = [complex(v.real * s, v.imag * s) for v in state]  # keeps signed zeros

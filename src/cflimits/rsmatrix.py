@@ -155,7 +155,7 @@ def rs_asymptotics(
     theta = sys.theta_limit
     pair = _mp.MatrixSequencePair(
         dim=sys.n,
-        d_seq=lambda i: np.asarray(sys.theta(i), dtype=complex),
+        d_seq=sys.theta,
         m_seq=lambda i: theta,
         tail_bound=sys.tail_bound,
         side="right",

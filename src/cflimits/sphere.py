@@ -156,9 +156,10 @@ class MobiusMap:
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0 or not math.isfinite(scale):
             raise DegenerateMapError(f"bad coefficient scale {scale}")
-        if abs(self.det) < DET_RTOL * scale * scale:
+        # Not "<": max skips a NaN coefficient that is not first, and then the determinant is NaN.
+        if not abs(self.det) >= DET_RTOL * scale * scale:
             raise DegenerateMapError(
-                f"determinant {self.det!r} vanishes relative to coefficients"
+                f"determinant {self.det!r} vanishes relative to coefficients or is NaN"
             )
 
     @classmethod

@@ -278,12 +278,20 @@ class TestEvaluate:
         assert result.converged
         assert result.value.z == 5.0
 
-    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1e308)])
+    @pytest.mark.parametrize("bad", [
+        (1.0, {5: (math.nan, 1.0)}), (1.0, {5: (1.0, math.nan)}), (1.0, {5: (1.0, math.inf)}),
+        (1.0, {5: (1.0, 1e308)}),
+        # Finite terms: Q_5 = 5e-300 * 1e308 - 3e-300 * 1e308 = 2e8 beside P_5 = inf - inf, and
+        # P_5 = 1e8 beside Q_5 = inf - inf, which max() over the magnitudes once skipped.
+        (1.0, {1: (1.0, 1e-300), 2: (1e-300, 1.0), 5: (-1e308, 1e308)}),
+        (0.0, {1: (1e-300, 1.0), 5: (-1e308, 1e308)}),
+    ])
     def test_non_finite_convergent_raises_at_its_index(self, bad):
-        # A NaN b_5 once gave converged=True with the value infinity.
-        fraction = C.ContinuedFraction(1.0, lambda n: bad if n == 5 else (1.0, 1.0))
+        # A NaN b_5, and the finite terms of the last case, once gave converged=True with the value infinity.
+        b0, terms = bad
+        fraction = C.ContinuedFraction(b0, lambda n: terms.get(n, (1.0, 1.0)))
         with pytest.raises(InvalidFactorError, match="P_5/Q_5 is not finite") as info:
-            C.evaluate(fraction, 1e-12, 100_000)
+            C.evaluate(fraction, 1e-12, 1000)
         assert info.value.n == 5
 
     def test_zero_numerator_truncates_at_the_previous_approximant(self):

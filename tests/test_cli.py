@@ -81,6 +81,24 @@ class TestAngleGrammar:
         assert u.turns == Fraction(3, 4)
         assert u.residual == -1e-3
 
+    def test_pi_and_whole_turn_terms(self):
+        u = cli.parse_angle_expression("-pi+2*pi*3+2*pi*(1/8)")
+        assert u.turns == Fraction(1, 8)
+        assert u.residual == -math.pi
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty angle expression"), ("   ", "empty angle expression"),
+         ("2*pi*(1/0)", "bad rational in angle term '2*pi*(1/0)'"),
+         ("sqrt(-4)", "sqrt of negative integer in 'sqrt(-4)'"),
+         ("1+tau", "cannot parse angle term 'tau'")],
+        ids=["empty", "blank", "zero-denominator", "negative-sqrt", "unknown-term"],
+    )
+    def test_rejected_term_is_named(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            cli.parse_angle_expression(text)
+        assert str(info.value) == message
+
 
 class TestConfigValidation:
     def test_unknown_field_rejected(self, tmp_path, capsys):
@@ -146,9 +164,28 @@ class TestConfigValidation:
             ("limit-set", dict(WORKED_CONFIG, q={"type": "poly-qn", "q": 0.2, "coefficients": 5}),
              "coefficients"),
             ("verify", {"kind": "q-identity", "checks": [5]}, "checks"),
+            ("limit-set", [WORKED_CONFIG], "bad.json: top-level value must be an object"),
+            ("limit-set", dict(WORKED_CONFIG, kind="figure"), 'limit-set needs config kind "elliptic-cf"'),
+            ("limit-set", dict(WORKED_CONFIG, alpha="sqrt(11)"),
+             'config.alpha: expected {"root": [num, den]} or {"angle": "..."}'),
+            ("limit-set", dict(WORKED_CONFIG, p=5), "config.p: expected a sequence descriptor object"),
+            ("limit-set", dict(WORKED_CONFIG, q={"type": "banana"}),
+             "config.q.type must be zero | geometric | poly-qn, got 'banana'"),
+            ("limit-set", dict(WORKED_CONFIG, alpha={"angle": ""}), "empty angle expression"),
+            ("figure", {"kind": "figure", "which": "fig9"}, "unknown figure 'fig9'"),
+            ("verify", {"kind": "q-identity", "checks": [{"name": "nope"}]}, "unknown check 'nope'"),
+            ("verify", {"kind": "q-identity", "checks": []}, "no checks selected"),
+            ("matrix-product", dict(MP_CONFIG, mode="sideways"), "unknown mode 'sideways'"),
+            ("recurrence", {"kind": "recurrence", "limits": [-1.0, 0.0], "initial": [1.0, 0.5],
+                            "perturbations": [{"coefficient": 0.5, "ratio": 0.3}]},
+             "one perturbation per coefficient required"),
+            ("recurrence", {"kind": "recurrence", "limits": [-1.0, 0.0], "initial": [1.0]}, "need 2 initial values"),
         ],
         ids=["mp-no-m", "mp-no-matrix", "rs-no-theta", "rec-no-limits", "geometric-no-ratio",
-             "poly-no-q", "perturbations-not-objects", "coefficients-not-list", "checks-not-objects"],
+             "poly-no-q", "perturbations-not-objects", "coefficients-not-list", "checks-not-objects",
+             "top-level-list", "wrong-kind", "unit-point-string", "sequence-number", "sequence-type",
+             "empty-angle", "unknown-figure", "unknown-check", "no-checks", "unknown-mode",
+             "perturbation-count", "initial-count"],
     )
     def test_malformed_field_is_config_error(self, tmp_path, capsys, command, config, field):
         path = write_config(tmp_path, "bad.json", config)
@@ -292,6 +329,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, "bad.json", config)
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_other_package_error_exits_3(self, tmp_path, capsys):
+        # diag(1, -1) has order 2, so M^3 != I: not a config, budget or i/o failure.
+        config = dict(MP_CONFIG, mode="residue", order=3, m=[[1.0, 0.0], [0.0, -1.0]])
+        path = write_config(tmp_path, "mp.json", config)
+        assert cli.main(["matrix-product", "--config", path]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: M^3 differs from the identity\n"
 
 
 class TestLimitSetCommand:
@@ -570,6 +614,21 @@ class TestOtherCommands:
         # The stop that the sum of the two row tails gives.
         assert doc["n_terms"] == 49
 
+    def test_recurrence_without_perturbation_matches_40_digit_reference(self, tmp_path, capsys):
+        # Every factor equals M, so the zero tail bound is exact and stops the cocycle at n = 1.
+        path = write_config(tmp_path, "rec.json", RECORDED_CASES["rec-nopert"][2])
+        assert cli.main(["recurrence", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        roots, c = ([complex(*v) for v in doc[key]] for key in ("roots", "c"))
+        mp = mpref.mp
+        with mp.workdps(mpref.DPS):
+            exact = [mp.mpc(mp.mpf(2) / 3, sign * mp.sqrt(5) / 3) for sign in (1, -1)]
+            a1, a2 = (min(exact, key=lambda e: abs(e - r)) for r in roots)  # x_n = c1 a1^n + c2 a2^n
+            want = [(mp.mpf(0.5) - a2) / (a1 - a2), (mp.mpf(0.5) - a1) / (a2 - a1)]
+        assert a1 != a2
+        assert mpref.max_abs_diff(c, want) <= 1e-9
+        assert doc["n_terms"] == 1
+
     def test_rs_cf_command(self, tmp_path, capsys):
         config = {
             "kind": "rs-cf",
@@ -677,7 +736,7 @@ RECORDED = {
     "mp-cocycle-left": "cd6f7131fb42f80663610f00a450230a34f90ec6c324e77355d18bb2a0e877be",
     "mp-cocycle-right": "9e7b078517793b4728b06b76b2222db4c5fd291c7bb43f5be8abb30e7ed6970a",
     "mp-residue": "b38a0f8c87bfa386aef2eebc7212333a483c993ecf2eb754fd118a9af8486271",
-    "rec-nopert": "74a1c720c46ddbfda61e7e07d43c72d86575e9ae8286e7f4090611b896fd2560",
+    "rec-nopert": "a1c785a74ffab3204baf31b92b3d89b321471ff2eb1c596d73ba6fc4194798b8",
     "rec-pert": "e59e80dcf3ec8dbfa5bf25f6749e66006ced61505cc9ec5ac580046fcb92c7e3",
     "rs-cf": "26531b37c0dd3ca7b11c493f80bb545d20461ba3d46ae28e8f1ec1a741abcd4d",
     "verify-default": "9d11971d821856508a0768011afe7c9d9f9548bdb4390b9bb948dcfdbaff28e8",

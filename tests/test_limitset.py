@@ -52,6 +52,19 @@ class TestUnitModulusNumber:
         assert lam.is_exact_root
         assert lam.order() == 17
 
+    def test_integer_turns_read_as_a_fraction(self):
+        u = U(3, 0.5)
+        assert u.turns == Fraction(0) and isinstance(u.turns, Fraction)
+
+    @pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected(self, residual):
+        with pytest.raises(ValueError, match="non-finite residual angle"):
+            U(Fraction(1, 3), residual)
+
+    def test_zero_order_root_rejected(self):
+        with pytest.raises(ZeroDivisionError, match="zero order"):
+            U.root_of_unity(1, 0)
+
 
 def same_bits(z, w):
     return (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
@@ -162,6 +175,31 @@ class TestOrderOfLambda:
     def test_equal_rejected(self):
         with pytest.raises(EqualAlphaBetaError):
             L.order_of_lambda(U.root_of_unity(0, 1), U.root_of_unity(0, 1))
+
+
+#: One point written two ways: a quarter turn and the numeric angle pi/2 (the same double).
+QUARTER, HALF_PI = U(Fraction(1, 4)), U.from_angle(math.pi / 2)
+
+
+class TestEqualAlphaBeta:
+    """alpha != beta is one test, on the points' values, wherever it is made."""
+
+    def test_the_two_writings_are_one_point(self):
+        assert QUARTER.value == HALF_PI.value
+        assert (QUARTER / HALF_PI).turns != 0  # so no test on the quotient's parts can see it
+
+    def test_spec_rejects_the_pair(self):
+        with pytest.raises(EqualAlphaBetaError):
+            L.EllipticCFSpec(QUARTER, HALF_PI, lambda n: 0.0, lambda n: 0.0)
+
+    def test_order_of_lambda_rejects_the_pair(self):
+        with pytest.raises(EqualAlphaBetaError):
+            L.order_of_lambda(QUARTER, HALF_PI)
+
+    def test_tail_omega_rejects_the_pair(self):
+        # It once returned infinity here.
+        with pytest.raises(EqualAlphaBetaError):
+            L.tail_omega(QUARTER, HALF_PI, 3)
 
 
 class TestBuildCF:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cflimits import limitset as L
 from cflimits import qseries as Q
+from cflimits.errors import SeriesNotConvergedError
 from cflimits.limitset import UnitModulusNumber as U
 from cflimits.sphere import chordal_distance
 
@@ -54,6 +55,15 @@ class TestQPochhammer:
     def test_infinite_product_off_the_open_disc_raises(self, q):
         with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\), got"):
             Q.qpochhammer(0.5, q)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            Q.qpochhammer(0.5, 0.3, -1)
+
+    def test_budget(self):
+        # |q| = 0.9999 needs about 4.4e5 factors before the tail is under 1e-15.
+        with pytest.raises(SeriesNotConvergedError, match="q-product did not meet its tail bound"):
+            Q.qpochhammer(1.0, 0.9999)
 
     def test_finite_product_takes_any_q(self):
         assert Q.qpochhammer(0.1, 2.0, 3) == pytest.approx(0.9 * 0.8 * 0.6, abs=1e-15)
@@ -119,6 +129,11 @@ class TestPxy:
         sharp = Q.QParams(0.4, tol=1e-16)
         x, y = 2.0 - 1j, 0.8 + 0.4j
         assert abs(Q.pxy(x, y, params) - Q.pxy(x, y, sharp)) < 1e-10
+
+    def test_budget(self):
+        # The term ratio |q^(n+1)| / (1 - |q^(n+1)|) stays >= 1/2 until n ~ 1.1e5 at |q| = 0.99999.
+        with pytest.raises(SeriesNotConvergedError, match="series P\\(x, y\\) did not meet its tail bound"):
+            Q.pxy(1.0, 0.0, Q.QParams(0.99999))
 
     def test_pole_detected(self):
         from cflimits.errors import PoleInDenominatorError
@@ -197,6 +212,22 @@ class TestRamanujanClaim:
     def test_wrong_representative_rejected(self):
         with pytest.raises(ValueError):
             Q.verify_ramanujan_claim(0.1, 0.0, 0, representative=4)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, 0.6 + 0.8j, complex(math.nan, 0.0)])
+    def test_q_off_the_open_disc_rejected_before_any_term(self, q, monkeypatch):
+        # QParams owns the check, as for rbm_identity and the P(x, y) series.
+        monkeypatch.setattr(Q._cf, "limit_along_residue", lambda *args, **kw: pytest.fail("a term was formed"))
+        with pytest.raises(ValueError) as info:
+            Q.verify_ramanujan_claim(q, 0.0, 0)
+        assert str(info.value) == f"|q| must be < 1, got {abs(complex(q))}"
+
+    def test_shift_at_omega_squared_is_singular(self):
+        # The float nearest omega^2 with a * omega == 1 exactly makes 1 - a*omega vanish.
+        omega = U.root_of_unity(1, 3).value
+        a = complex(-0.4999999999999999, -0.8660254037844388)
+        assert 1.0 - a * omega == 0
+        with pytest.raises(ZeroDivisionError, match="1 - a\\*omega vanishes"):
+            Q.verify_ramanujan_claim(0.1, a, 0)
 
 
 class TestRogersRamanujanTwoLimits:

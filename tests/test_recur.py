@@ -35,6 +35,10 @@ class TestCharacteristicRoots:
         want = sorted((0.0, 2 * math.pi / 3, 4 * math.pi / 3))
         assert got == pytest.approx(want, abs=1e-10)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="need at least one coefficient"):
+            R.characteristic_roots([])
+
 
 class TestBuildValidation:
     def test_non_unit_roots_rejected(self):
@@ -53,6 +57,16 @@ class TestBuildValidation:
                 (-1.0, 4.0 / 3.0),
                 roots=(U.root_of_unity(1, 3), U.root_of_unity(2, 3)),
             )
+
+    def test_one_root_per_coefficient(self):
+        with pytest.raises(ValueError, match="expected one root per coefficient"):
+            R.PoincareRecurrence.build(lambda n: (1.0, 0.0), (1.0, 0.0), roots=(U.root_of_unity(0, 1),))
+
+    @pytest.mark.parametrize("initial", [(1.0,), (1.0, 0.5, 0.25)])
+    def test_iterate_needs_one_initial_value_per_order(self, initial):
+        rec = R.PoincareRecurrence.build(lambda n: (1.0, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="need 2 initial values"):
+            rec.iterate(initial, 5)
 
 
 def cf32_recurrence(tail_ratio=0.0, tail_coeff=0.0):
@@ -229,3 +243,14 @@ class TestPerronDiagnostic:
     def test_geometric_growth(self):
         got = R.perron_limsup_diagnostic(lambda n: (2.0,), (1.0,), 400)
         assert got == pytest.approx(2.0, abs=1e-12)
+
+    def test_growth_past_the_renormalization_threshold(self):
+        # 3^1000 ~ 1e477 is out of double range; the rescaled state is not.
+        got = R.perron_limsup_diagnostic(lambda n: (3.0,), (1.0,), 1000)
+        assert got == pytest.approx(3.0, abs=1e-12)
+
+    def test_iterate_decays_past_the_renormalization_threshold_exactly(self):
+        # Power-of-two rescaling is exact: x_n = 2^-n to the last bit, far below 1/RENORM_THRESHOLD.
+        rec = R.PoincareRecurrence.build(lambda n: (0.5,), (1.0,))
+        xs = rec.iterate((1.0,), 1000)
+        assert all(x == 2.0**-n for n, x in enumerate(xs))

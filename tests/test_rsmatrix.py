@@ -40,6 +40,16 @@ class TestFProjection:
         with pytest.raises(SingularBError):
             RS.f_projection(d, 1, 1)
 
+    def test_singular_trailing_block_of_size_two(self):
+        d = np.eye(3, dtype=complex)
+        d[2, 2] = 0.0
+        with pytest.raises(SingularBError):
+            RS.f_projection(d, 1, 2)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match=r"matrix is \(2, 2\), expected \(3, 3\)"):
+            RS.f_projection(np.eye(2, dtype=complex), 1, 2)
+
     def test_continuity_near_regular_points(self):
         rng = np.random.default_rng(21)
         d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -183,6 +193,32 @@ class TestAsymptotics:
         assert len(calls) == 3
         mu, s, s_inv = unit_eigenbasis(theta)
         assert np.array_equal(asym.theta_power(7), s @ np.diag(mu**7) @ s_inv)
+
+    def test_list_factors_give_the_array_bits(self):
+        # rs_asymptotics hands theta_k to the cocycle as it comes; the cocycle converts it.
+        theta = [[0.0, 1.0], [-1.0, 4.0 / 3.0]]
+        rows = lambda k: [[0.0, 1.0], [-1.0 + 0.2**k * 1j, 4.0 / 3.0 + 0.3**k]]
+        tail = lambda n: 0.2 ** (n + 1) / 0.8 + 0.3 ** (n + 1) / 0.7
+        got = [
+            RS.rs_asymptotics(RS.RSSystem(1, 1, factor, theta, tail), 1e-12)
+            for factor in (rows, lambda k: np.array(rows(k), dtype=complex))
+        ]
+        assert got[0].n_terms == got[1].n_terms
+        assert got[0].f_matrix.tobytes() == got[1].f_matrix.tobytes()
+
+    @pytest.mark.parametrize("r, s", [(0, 1), (1, 0), (-1, 2)])
+    def test_block_sizes_must_be_positive(self, r, s):
+        with pytest.raises(ValueError, match="r and s must be positive"):
+            RS.RSSystem(r, s, lambda k: np.eye(2, dtype=complex))
+
+    def test_limit_shape_checked(self):
+        with pytest.raises(ValueError, match="theta_limit has the wrong shape"):
+            RS.RSSystem(1, 1, lambda k: np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    def test_factor_shape_checked_at_its_index(self):
+        system = RS.RSSystem(1, 1, lambda k: np.eye(3 if k == 4 else 2, dtype=complex))
+        with pytest.raises(ValueError, match=r"theta\(4\) has shape \(3, 3\), expected \(2, 2\)"):
+            list(RS.rs_approximants(system, 10))
 
     def test_missing_limit_rejected(self):
         system = RS.RSSystem(1, 1, lambda k: np.eye(2, dtype=complex))

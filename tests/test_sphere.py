@@ -20,6 +20,7 @@ from cflimits.sphere import (
     mobius_through,
     projective,
     quotient,
+    sqrt_with_positive_branch,
 )
 
 # Coefficients of the worked-example map, as published.
@@ -51,6 +52,12 @@ class TestExtendedComplex:
         z = ExtendedComplex(3 - 4j)
         assert z.z == 3 - 4j
         assert not z.is_infinity
+
+    def test_infinity_has_no_finite_value(self):
+        with pytest.raises(ValueError, match="no finite value"):
+            INFINITY.z
+        assert repr(INFINITY) == "ExtendedComplex(inf)" and repr(ExtendedComplex(2.0)) == "ExtendedComplex((2+0j))"
+        assert ExtendedComplex(2.0) != "2"  # not comparable, so unequal
 
 
 class TestChordalDistance:
@@ -183,6 +190,19 @@ class TestMobiusApply:
         with pytest.raises(DegenerateMapError):
             MobiusMap(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_coefficient_rejected_at_construction(self, slot, bad):
+        # max() over |a|..|d| skips a NaN that is not first: a NaN b once built a map sending 0.5 to infinity.
+        coeffs = [1.0, 0.0, 0.0, 1.0]
+        coeffs[slot] = bad
+        with pytest.raises(DegenerateMapError):
+            MobiusMap(*coeffs)
+
+    def test_zero_scale_rejected(self):
+        with pytest.raises(DegenerateMapError, match="zero scale"):
+            H4.scaled(0)
+
     @given(
         t=finite_complex.filter(lambda v: abs(v) > 1e-3),
         z=st.one_of(finite_complex, st.just(None)),
@@ -246,6 +266,11 @@ class TestImageOfUnitCircle:
         assert abs(image.point.imag) < 1e-12
         assert abs(image.direction.imag) < 1e-12
 
+    def test_distance_to_infinity(self):
+        # A line passes through infinity on the sphere; a circle in the plane does not.
+        assert H43.image_of_unit_circle().distance_to(INFINITY) == 0.0
+        assert H4.image_of_unit_circle().distance_to(INFINITY) == math.inf
+
     def test_circle_matches_three_point_circumcircle(self):
         image = H4.image_of_unit_circle()
         assert isinstance(image, Circle)
@@ -300,3 +325,17 @@ class TestMobiusThrough:
     def test_degenerate_triple(self):
         with pytest.raises(DegenerateTripleError):
             mobius_through(1.0, 1.0, 2.0)
+
+    def test_distinct_but_too_close_targets(self):
+        # Pairwise distinct, but the map through them has a determinant below DET_RTOL.
+        with pytest.raises(DegenerateTripleError, match="targets too close"):
+            mobius_through(1.0, 1.0 + 1e-14, 1.0 + 2e-14)
+
+
+class TestSquareRootBranch:
+    @pytest.mark.parametrize(
+        "w, root", [(4.0, 2.0), (-4.0, 2j), (complex(-4.0, -0.0), 2j), (-2j, 1 - 1j), (2j, 1 + 1j)]
+    )
+    def test_nonnegative_real_part_ties_to_nonnegative_imaginary(self, w, root):
+        # The principal root of -4 - 0i is -2i; the branch flips it.
+        assert sqrt_with_positive_branch(w) == pytest.approx(root, abs=1e-15)

@@ -15,7 +15,7 @@ import cflimits
 MODULES = sorted(pathlib.Path(cflimits.__file__).parent.glob("*.py"))
 
 LIMIT = 61
-LINES = 3336
+LINES = 3330
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
