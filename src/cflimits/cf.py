@@ -16,9 +16,9 @@ Convergence in the extended plane is judged in the chordal metric: a mere
 pair of close consecutive approximants is easily faked by a slowly
 rotating unit eigenvalue ratio, so instead we require a stability window
 of consecutive small steps.  That criterion is a heuristic, not a proof.
-``Monitor`` is the one place that counts such windows for every limit
-sequence of the package and the only stopping state; ``checked_tol`` is
-the one check of a tolerance, ``renorm_exponent`` the one power-of-two
+``Monitor`` is the only stopping state of the package: it counts every such window and makes
+every comparison of a loop's scaled tail bound with ``tol``, at the budget too (``det_product``
+aside); ``checked_tol`` is the one check of a tolerance, ``renorm_exponent`` the one power-of-two
 renormalizer, ``geometric_tail`` the one geometric tail (it checks 0 <= ratio < 1), and
 ``geometric_sequence`` and ``poly_qn_sequence`` each perturbation model's home, a ``TailedSequence``.
 ``evaluate``, ``modified_value(s)`` and ``limit_along_residue`` all run
@@ -53,32 +53,36 @@ RESIDUE_WINDOW = 8
 class Monitor:
     """The stopping rule shared by every limit sequence of the package.
 
-    ``update`` takes the latest step size of the sequence (``math.inf``
-    while there is no previous term) and, where the caller has one, a
-    bound on the remaining distance to the limit.  It returns "window"
-    once ``window`` consecutive steps are under ``tol``, "tail-bound" when
-    the bound is, and None otherwise.  A window stop is a heuristic: it is
-    taken even while a supplied tail bound still exceeds ``tol``.  ``step``
-    measures a raw point (None is infinity) by its chordal distance from the last one.
+    ``update`` takes the latest step size (``math.inf`` while there is no previous term; with
+    ``window`` None steps are ignored, so pass None) and, where the loop has one, its bound on
+    the distance to the limit times its own magnitude factor.  It returns "window" once ``window``
+    consecutive steps are under ``tol``, "tail-bound" when the bound is, and None otherwise.  A
+    window stop is a heuristic: it is taken even while a supplied tail bound still exceeds ``tol``.
+    ``step`` measures a raw point (None is infinity) by its chordal distance from the last one.
     """
 
     __slots__ = ("tol", "window", "stable", "last_delta", "last_term")
 
-    def __init__(self, tol: float, window: int):
+    def __init__(self, tol: float, window: int | None):
         self.tol = checked_tol(tol)
         self.window = window
         self.stable = 0
         self.last_delta: float | None = None
         self.last_term = None
 
-    def update(self, delta: float, tail_bound: float | None = None) -> str | None:
-        self.last_delta = delta
-        self.stable = self.stable + 1 if delta < self.tol else 0
-        if self.stable >= self.window:
-            return "window"
+    def update(self, delta: float | None, tail_bound: float | None = None) -> str | None:
+        if self.window:
+            self.last_delta = delta
+            self.stable = self.stable + 1 if delta < self.tol else 0
+            if self.stable >= self.window:
+                return "window"
         if tail_bound is not None and tail_bound < self.tol:
             return "tail-bound"
         return None
+
+    def futile(self, bound_at_budget: float) -> bool:
+        """Whether a nonincreasing scaled tail bound is still >= ``tol`` at the budget (NaN is not)."""
+        return bound_at_budget >= self.tol
 
     def step(self, term: complex | None) -> str | None:
         delta = math.inf if self.last_delta is None else chordal(term, self.last_term)

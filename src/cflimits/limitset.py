@@ -262,7 +262,7 @@ def compute_h_direct(
     ``tol`` over ``STABILITY_WINDOW`` consecutive steps, or when 2 * max_{k<=n}(|P_k|, |Q_k|)
     * tail_bound(n) is: each coefficient has at most tail_bound(n) * sup_{k>=n} |P_k| (or
     |Q_k|) left to move, and twice the running magnitude bound estimates that supremum.
-    That cannot happen while 2 * tail_bound(max_n) >= tol (tail_bound is nonincreasing): it is read once.
+    ``Monitor.futile``: while 2 * tail_bound(max_n) >= tol a nonincreasing bound cannot fire; read once.
     Also accumulates (beta - alpha) * prod(1 - q_n/(alpha beta)), which the
     determinant of h must equal.
     """
@@ -274,7 +274,7 @@ def compute_h_direct(
 
     monitor = _cf.Monitor(tol, _cf.STABILITY_WINDOW)
     mag_bound = scale = 1.0
-    if tail_bound is not None and 2.0 * mag_bound * tail_bound(max_n) >= tol:
+    if tail_bound is not None and monitor.futile(2.0 * mag_bound * tail_bound(max_n)):
         tail_bound = None
     product = 1.0 + 0.0j
     delta, tail, exponent = math.inf, None, 0
@@ -386,12 +386,12 @@ class Concentration:
     lowest: ExtendedComplex | None = None
 
 
-def concentration_points(h: MobiusMap, m: int | None) -> Concentration:
+def concentration_points(h: MobiusMap, m: int | None, geometry: CircleOrLine) -> Concentration:
     """Concentration extremes of h(T) for infinite order; else not-applicable.
 
-    With c or d zero every point is approached equally often.  When
-    |c| = |d| the limit set is a line whose densest point is the average of
-    h(infinity) and h(0), the sparsest being infinity itself.
+    ``geometry`` is h.image_of_unit_circle().  With c or d zero every point is approached
+    equally often.  When |c| = |d| the limit set is a line whose densest point is the
+    average of h(infinity) and h(0), the sparsest being infinity itself.
     """
     if m is not None:
         return Concentration("not-applicable")
@@ -400,7 +400,7 @@ def concentration_points(h: MobiusMap, m: int | None) -> Concentration:
     if abs(c) < 1e-14 * scale or abs(d) < 1e-14 * scale:
         return Concentration("uniform")
     ac, bd = a / c, b / d
-    if isinstance(h.image_of_unit_circle(), Line):
+    if isinstance(geometry, Line):
         return Concentration("points", ExtendedComplex((ac + bd) / 2.0), INFINITY)
     highest = (ac * abs(c) + bd * abs(d)) / (abs(c) + abs(d))
     lowest = (-ac * abs(c) + bd * abs(d)) / (-abs(c) + abs(d))
@@ -572,7 +572,7 @@ def limit_set_report(
         direct, residue = _h_with_residues(spec, order.m, min(tol, 1e-11), max_n)
     else:
         direct, residue = compute_h_direct(spec, tol, max_n), None
-    h_raw = direct.h
+    h_raw, geometry = direct.h, direct.h.image_of_unit_circle()
     limit_points = None if order.m is None else tuple(
         map(h_raw.apply, power_cycles((spec.lam,), order.m)[0]))
 
@@ -580,8 +580,8 @@ def limit_set_report(
         h=h_raw.normalized(),
         h_raw=h_raw,
         m=order.m,
-        geometry=h_raw.image_of_unit_circle(),
-        concentration=concentration_points(h_raw, order.m),
+        geometry=geometry,
+        concentration=concentration_points(h_raw, order.m, geometry),
         det_product=direct.det_product,
         limit_points=limit_points,
         residue=residue,

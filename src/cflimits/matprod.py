@@ -23,7 +23,7 @@ from functools import reduce
 from typing import Callable
 
 from ._numpy import np
-from .cf import STABILITY_WINDOW, Monitor, checked_tol
+from .cf import STABILITY_WINDOW, Monitor
 from .errors import (
     BudgetExceededError,
     InvalidFactorError,
@@ -106,12 +106,12 @@ def wedderburn_product(
 
     The remaining factors multiply the partial product by something within
     exp(tail) - 1 of the identity (in the submultiplicative scaled norm),
-    which yields the stopping bound; ``tol`` is checked before any A_i is
-    formed.  A non-finite A_i, or partial product after it, raises
-    InvalidFactorError at i.
+    which yields the stopping bound, given to a Monitor with no window;
+    ``tol`` is checked before any A_i is formed.  A non-finite A_i, or
+    partial product after it, raises InvalidFactorError at i.
     """
     _check_side(side)
-    checked_tol(tol)
+    monitor = Monitor(tol, None)
     first = np.asarray(a_seq(1), dtype=complex)
     if first.ndim != 2 or first.shape[0] != first.shape[1]:
         raise ValueError(f"the first factor must be a square matrix, got shape {first.shape}")
@@ -126,9 +126,9 @@ def wedderburn_product(
         norm = entry_norm(product)
         if not norm < math.inf:  # also NaN, which max(1.0, norm) would hide
             raise InvalidFactorError(f"partial product is not finite after A_{i}", i)
-        if d * max(1.0, norm) * math.expm1(min(tail_bound(i), 709.0)) < tol:  # expm1(709.79) overflows
+        if monitor.update(None, d * max(1.0, norm) * math.expm1(min(tail_bound(i), 709.0))):  # expm1(710) overflows
             return product
-    raise BudgetExceededError(f"product tail above tolerance after {max_terms} factors")
+    raise monitor.exhausted(f"product tail above tolerance after {max_terms} factors", BudgetExceededError)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def cocycle_limit(
     the tail bounds and the det(D_i) flags are array operations, and the Monitor sees each
     step in order, as a step-by-step loop would.  The tail bound is d^2 (B g)^2 max(1, ||F_n||)
     tail_bound(n): B = max_ij sum_k |S_ik||S^-1_kj| times g, the largest |mu_k^{+-j}| up to the
-    end of the block, bounds every entry of M^j and M^-j.  While d^2 B^2 tail_bound(max_terms)
-    >= tol it cannot stop the loop (tail_bound is nonincreasing): it is read once.  A non-finite
+    end of the block, bounds every entry of M^j and M^-j.  While d^2 B^2 tail_bound(max_terms) >= tol
+    (``Monitor.futile``) a nonincreasing bound cannot stop the loop: it is read once.  A non-finite
     D_i, or an M_i other than M, raises InvalidFactorError at i unless the loop stopped before it.
     """
     d = pair.dim
@@ -169,7 +169,7 @@ def cocycle_limit(
     product = np.eye(d, dtype=complex)
     f_prev = np.full((d, d), math.inf, dtype=complex)  # so the first step is inf
     w, growth, nonsingular, tail_bound = np.ones(d, dtype=complex), 1.0, True, pair.tail_bound  # w = mu^-n
-    if tail_bound is not None and d * d * (bound * growth) ** 2 * tail_bound(max_terms) >= tol:
+    if tail_bound is not None and monitor.futile(d * d * (bound * growth) ** 2 * tail_bound(max_terms)):
         tail_bound = None
     start, size = 1, BLOCK_STEPS[0]
     while start <= max_terms:

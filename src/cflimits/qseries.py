@@ -40,7 +40,7 @@ def qpochhammer(a: complex, q: complex, n: int | None = None, tol: float = 1e-15
     The infinite product needs |q| < 1 and stops once the remaining factors
     are within ``tol`` of 1 (bounded through exp of the geometric tail).
     """
-    _cf.checked_tol(tol)
+    monitor = _cf.Monitor(tol, None)
     a = complex(a)
     q = complex(q)
     if n is not None and n < 0:
@@ -49,12 +49,12 @@ def qpochhammer(a: complex, q: complex, n: int | None = None, tol: float = 1e-15
     tail = None if n is not None else _cf.geometric_tail(a, abs(q))
     product = power = 1.0 + 0.0j
     for k in range(100_000 if tail else n):
-        if tail and tail(k - 1) < 0.5 * tol:
+        if tail and monitor.update(None, 2.0 * tail(k - 1)):
             return product
         product *= 1.0 - a * power
         power *= q
     if tail:
-        raise SeriesNotConvergedError("q-product did not meet its tail bound")
+        raise monitor.exhausted("q-product did not meet its tail bound", SeriesNotConvergedError)
     return product
 
 
@@ -65,6 +65,7 @@ def pxy(x: complex, y: complex, params: QParams) -> complex:
     and its geometric continuation bound are below tolerance.  A factor
     1 - y q^n equal to zero raises PoleInDenominatorError.
     """
+    monitor = _cf.Monitor(params.tol, None)
     x = complex(x)
     y = complex(y)
     q = params.q
@@ -83,9 +84,9 @@ def pxy(x: complex, y: complex, params: QParams) -> complex:
         # Ratio of consecutive terms is eventually ~ |x| r^(n+1); once it is
         # under 1/2 the remaining tail is below |term| / (1 - ratio) < 2 |term|.
         ratio = abs(x) * r ** (n + 1) / max((1.0 - r ** (n + 1)) * abs(1.0 - y * qn * q), 1e-300)
-        if ratio < 0.5 and abs(term) / (1.0 - ratio) < 0.25 * params.tol:
+        if ratio < 0.5 and monitor.update(None, 4.0 * (abs(term) / (1.0 - ratio))):
             return total
-    raise SeriesNotConvergedError("series P(x, y) did not meet its tail bound")
+    raise monitor.exhausted("series P(x, y) did not meet its tail bound", SeriesNotConvergedError)
 
 
 def ramanujan_limit_map(
@@ -151,22 +152,22 @@ def verify_ramanujan_claim(
     wv = omega.value
     num_omega = 1.0 - a * omega.power_value(2)
     den_omega = 1.0 - a * wv
-    if den_omega == 0:
-        raise ZeroDivisionError("1 - a*omega vanishes; shift parameter is singular")
+    n = representative if representative is not None else j + 3
+    scale = (
+        -omega.power_value(2)
+        * qpochhammer(q * q, q**3, tol=tol)
+        / qpochhammer(q, q**3, tol=tol)
+    )
+    if den_omega == 0:  # Omega is infinite: (Omega - w^(n+1)) / (Omega - w^(n-1)) tends to 1
+        return lhs, ExtendedComplex(scale), chordal_distance(lhs, ExtendedComplex(scale))
     big_omega = (
         num_omega
         / den_omega
         * qpochhammer(omega.power_value(2) * q, q, tol=tol)
         / qpochhammer(wv * q, q, tol=tol)
     )
-    n = representative if representative is not None else j + 3
     ratio_num = big_omega - omega.power_value(n + 1)
     ratio_den = big_omega - omega.power_value(n - 1)
-    scale = (
-        -omega.power_value(2)
-        * qpochhammer(q * q, q**3, tol=tol)
-        / qpochhammer(q, q**3, tol=tol)
-    )
     if ratio_den == 0:
         rhs = INFINITY if ratio_num != 0 else ExtendedComplex(0.0)
     else:

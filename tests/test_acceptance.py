@@ -49,7 +49,7 @@ def test_criterion_1_worked_example():
     spec = worked_example_spec()
     mods = L.compute_h_via_modifications(spec, 1e-11, 5000)
     direct = L.compute_h_direct(spec, 1e-11, 5000)
-    conc = L.concentration_points(direct.h, None)
+    conc = L.concentration_points(direct.h, None, direct.h.image_of_unit_circle())
     elapsed = time.perf_counter() - start
 
     targets = {
@@ -86,7 +86,7 @@ def test_criterion_2_constant_fraction():
         chordal_distance(direct.h.apply(z), target.apply(z)) for z in pts
     )
     geometry = direct.h.image_of_unit_circle()
-    conc = L.concentration_points(direct.h, None)
+    conc = L.concentration_points(direct.h, None, direct.h.image_of_unit_circle())
     det_err = abs(direct.h.det - (spec.beta.value - spec.alpha.value))
     ok = (
         pointwise < 1e-8

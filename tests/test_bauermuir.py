@@ -132,6 +132,15 @@ class TestAtLambdaPower:
         with pytest.raises(RootOfUnityLambdaError):
             BM.bm_at_lambda_power(spec, 0)
 
+    def test_infinite_shifted_tail_value_raises(self):
+        # lambda = exp(i pi) by numeric angles: turns 0 and residual pi, so not an exact
+        # root, yet lambda^2 is exactly 1.0 in floats and the tail value at index 3 is infinite.
+        alpha, beta = U.from_angle(math.pi / 2), U.from_angle(-math.pi / 2)
+        assert not (alpha / beta).is_exact_root and (alpha / beta).power_value(2) == 1.0
+        spec = L.geometric_spec(alpha, beta, 0.1, 0.5, 0.1, 0.5)
+        with pytest.raises(RootOfUnityLambdaError, match="^tail value at shifted index 3 is infinite$"):
+            BM.bm_at_lambda_power(spec, 0).evaluate(1e-10)
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_q_equal_to_alpha_beta_rejected(self, k):
         # q_2 = alpha beta with no other perturbation lies below depth

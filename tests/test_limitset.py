@@ -15,7 +15,7 @@ from cflimits.errors import (
     NotEllipticError,
     QEqualsAlphaBetaError,
 )
-from cflimits.sphere import Circle, Line, chordal_distance
+from cflimits.sphere import Circle, Line, MobiusMap, chordal_distance
 from cflimits.limitset import UnitModulusNumber as U
 
 SQRT5 = math.sqrt(5.0)
@@ -719,27 +719,26 @@ class TestAsymptoticPredictor:
 class TestConcentration:
     def test_worked_example_points(self, worked_spec):
         direct = L.compute_h_direct(worked_spec, 1e-12, 5000)
-        conc = L.concentration_points(direct.h, None)
+        conc = L.concentration_points(direct.h, None, direct.h.image_of_unit_circle())
         assert conc.kind == "points"
         assert conc.highest.z == pytest.approx(CONC_HIGH, abs=5e-4)
         assert conc.lowest.z == pytest.approx(CONC_LOW, abs=5e-4)
 
     def test_line_case(self, constant_spec):
         direct = L.compute_h_direct(constant_spec, 1e-13, 1000)
-        conc = L.concentration_points(direct.h, None)
+        conc = L.concentration_points(direct.h, None, direct.h.image_of_unit_circle())
         assert conc.kind == "points"
         assert conc.highest.z == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert conc.lowest.is_infinity
 
     def test_uniform_when_c_vanishes(self):
-        from cflimits.sphere import MobiusMap
-
-        conc = L.concentration_points(MobiusMap(2.0, 1.0, 0.0, 1.0), None)
+        h = MobiusMap(2.0, 1.0, 0.0, 1.0)
+        conc = L.concentration_points(h, None, h.image_of_unit_circle())
         assert conc.kind == "uniform"
 
     def test_finite_order_not_applicable(self, worked_spec):
         direct = L.compute_h_direct(worked_spec, 1e-12, 5000)
-        assert L.concentration_points(direct.h, 17).kind == "not-applicable"
+        assert L.concentration_points(direct.h, 17, direct.h.image_of_unit_circle()).kind == "not-applicable"
 
     def test_circle_radius_formula(self, worked_spec):
         # radius = |det_product| / | |c|^2 - |d|^2 | with the raw limits.
@@ -1055,6 +1054,18 @@ class TestLimitSetReport:
         report = L.limit_set_report(constant_spec, 1e-10)
         assert isinstance(report.geometry, Line)
         assert report.concentration.highest.z == pytest.approx(-2 / 3, abs=1e-10)
+
+    @pytest.mark.parametrize("spec_name", ["worked_spec", "constant_spec"])
+    def test_geometry_read_once(self, request, monkeypatch, spec_name):
+        # concentration_points takes the report's geometry instead of reading it again.
+        spec = request.getfixturevalue(spec_name)
+        calls = []
+        image = MobiusMap.image_of_unit_circle
+        monkeypatch.setattr(MobiusMap, "image_of_unit_circle", lambda h: calls.append(h) or image(h))
+        report = L.limit_set_report(spec, 1e-10)
+        assert report.m is None and calls == [report.h_raw]
+        expected = L.concentration_points(report.h_raw, None, image(report.h_raw))
+        assert report.geometry == image(report.h_raw) and report.concentration == expected
 
     def test_seventeen_limit_points(self):
         # Numeric angle with an exact rational offset: the quotient has

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -32,6 +33,10 @@ def rotation(theta: float) -> np.ndarray:
 
 def geometric_tail(weight: float, ratio: float):
     return lambda n: weight * ratio ** (n + 1) / (1.0 - ratio)
+
+
+#: numpy's RuntimeWarning text for an overflow or an inf * 0 in a matrix product.
+OVERFLOW_WARNING = "encountered in matmul"
 
 
 def never_called(i):
@@ -171,7 +176,10 @@ class TestWedderburn:
         # (1 + 1e200)^2 overflows at A_2; max(1.0, nan) is 1.0, so the zero
         # tail bound once returned an all-NaN product.
         a_seq = lambda i: 1e200 * np.eye(2)
-        with pytest.raises(InvalidFactorError, match="partial product is not finite after A_2") as info:
+        with (
+            pytest.warns(RuntimeWarning, match=OVERFLOW_WARNING),
+            pytest.raises(InvalidFactorError, match="partial product is not finite after A_2") as info,
+        ):
             MP.wedderburn_product(a_seq, lambda n: 1.0 if n < 2 else 0.0, 1e-12, side=side)
         assert info.value.n == 2
 
@@ -241,14 +249,19 @@ class TestResidueMatrixLimits:
         # bound after 10 blocks with an all-NaN F.
         m = rotation(math.pi / 2.0)
         d_seq = lambda n: np.full((2, 2), bad) if n == 5 else m + 0.5**n * E
-        with pytest.raises(InvalidFactorError, match="D_5 is not finite") as info:
+        # inf * 0 in the period product is NaN, which numpy warns of; NaN itself is silent.
+        warns = pytest.warns(RuntimeWarning, match=OVERFLOW_WARNING) if bad == math.inf else contextlib.nullcontext()
+        with warns, pytest.raises(InvalidFactorError, match="D_5 is not finite") as info:
             MP.residue_matrix_limits(d_seq, m, 4, side=side, tail_bound=lambda n: 0.5**n)
         assert info.value.n == 5
 
     def test_overflowing_product_raises_after_its_period(self):
         m = rotation(math.pi / 2.0)
         d_seq = lambda n: 1e200 * m if n <= 2 else m
-        with pytest.raises(InvalidFactorError, match="partial product is not finite after D_4") as info:
+        with (
+            pytest.warns(RuntimeWarning, match=OVERFLOW_WARNING),
+            pytest.raises(InvalidFactorError, match="partial product is not finite after D_4") as info,
+        ):
             MP.residue_matrix_limits(d_seq, m, 4, tail_bound=lambda n: 0.0)
         assert info.value.n == 4
 

@@ -65,6 +65,13 @@ class TestQPochhammer:
         with pytest.raises(SeriesNotConvergedError, match="q-product did not meet its tail bound"):
             Q.qpochhammer(1.0, 0.9999)
 
+    def test_smallest_subnormal_tol_stops_on_a_zero_tail(self):
+        # Twice the tail is compared with tol, and doubling is exact; tol/2 would round
+        # 5e-324 to 0, which no tail is under, and spend the budget.
+        assert Q.qpochhammer(0.0, 0.5, tol=5e-324) == 1.0
+        # Every factor after k = 52 is exactly 1, so the product is the 60-factor one.
+        assert Q.qpochhammer(0.5, 0.5, tol=5e-324) == Q.qpochhammer(0.5, 0.5, 60)
+
     def test_finite_product_takes_any_q(self):
         assert Q.qpochhammer(0.1, 2.0, 3) == pytest.approx(0.9 * 0.8 * 0.6, abs=1e-15)
 
@@ -221,13 +228,17 @@ class TestRamanujanClaim:
             Q.verify_ramanujan_claim(q, 0.0, 0)
         assert str(info.value) == f"|q| must be < 1, got {abs(complex(q))}"
 
-    def test_shift_at_omega_squared_is_singular(self):
-        # The float nearest omega^2 with a * omega == 1 exactly makes 1 - a*omega vanish.
-        omega = U.root_of_unity(1, 3).value
+    def test_shift_at_omega_squared_returns_the_scale(self):
+        # The float nearest omega^2 with a * omega == 1 exactly makes 1 - a*omega vanish:
+        # Omega is infinite there, so the ratio tends to 1 and the right side to the scale.
+        omega = U.root_of_unity(1, 3)
         a = complex(-0.4999999999999999, -0.8660254037844388)
-        assert 1.0 - a * omega == 0
-        with pytest.raises(ZeroDivisionError, match="1 - a\\*omega vanishes"):
-            Q.verify_ramanujan_claim(0.1, a, 0)
+        assert 1.0 - a * omega.value == 0
+        q, tol = 0.1, 1e-12  # verify_ramanujan_claim's default tol
+        scale = -omega.power_value(2) * Q.qpochhammer(q * q, q**3, tol=tol) / Q.qpochhammer(q, q**3, tol=tol)
+        for j in range(3):
+            lhs, rhs, residual = Q.verify_ramanujan_claim(q, a, j)
+            assert rhs.z == scale and residual == chordal_distance(lhs, rhs) < 1e-12
 
 
 class TestRogersRamanujanTwoLimits:

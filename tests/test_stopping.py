@@ -2,10 +2,10 @@
 
 Unit tests of ``cf.Monitor``, and the stop index of every routine that
 stops through it, pinned to the indices its earlier hand-written stopping
-loop gave, and of ``residue_matrix_limits``, which stops on its tail bound
-alone.  Where a routine also takes a tail bound, it is pinned stopping
-on that bound, on the window once the bound is removed, and on a zero
-bound, which shows the first step or block allowed to stop on it.
+loop gave; ``residue_matrix_limits`` stops on its tail bound alone, through
+a Monitor with no window.  Where a routine also takes a tail bound, it is
+pinned stopping on that bound, on the window once the bound is removed, and
+on a zero bound, which shows the first step or block allowed to stop on it.
 """
 
 import math
@@ -115,6 +115,36 @@ class TestMonitor:
         assert err.last_delta == 0.25
         assert type(cf.Monitor(1e-3, 4).exhausted("none")) is NoConvergenceError
 
+    def test_no_window_ignores_steps(self):
+        monitor = cf.Monitor(1e-3, None)
+        assert [monitor.update(0.0) for _ in range(40)] == [None] * 40
+        assert monitor.stable == 0 and monitor.last_delta is None
+        assert monitor.update(None, 1e-3) is None
+        assert monitor.update(None, 9e-4) == "tail-bound"
+        err = monitor.exhausted("out of budget", BudgetExceededError)
+        assert type(err) is BudgetExceededError and err.last_delta is None
+
+    @pytest.mark.parametrize(
+        "bound, futile",
+        [(1e-3, True), (2e-3, True), (math.inf, True), (9e-4, False), (-1.0, False), (math.nan, False)],
+    )
+    def test_futile_bound_at_budget(self, bound, futile):
+        # A bound at the budget that is not under tol cannot fall under it within the budget;
+        # a NaN compares false, so it does not prove the bound futile.
+        assert cf.Monitor(1e-3, 4).futile(bound) is futile
+
+    def test_futility_is_decided_by_the_monitor(self, worked_spec, monkeypatch):
+        seen = []
+        futile = cf.Monitor.futile
+        monkeypatch.setattr(cf.Monitor, "futile", lambda self, bound: seen.append(bound) or futile(self, bound))
+        limitset.compute_h_direct(worked_spec, 1e-10, 5000)
+        m = rotation(0.7)
+        matprod.cocycle_limit(matprod.MatrixSequencePair(2, lambda i: m + 0.5**i * E, lambda i: m, E_TAIL), 1e-10, 300)
+        _, s, s_inv = matprod.unit_eigenbasis(m)
+        bound = float((np.abs(s) @ np.abs(s_inv)).max())
+        # Each loop's own magnitude factor, at its lower bound: 2 for h, d^2 B^2 for the cocycle.
+        assert seen == [2.0 * worked_spec.tail_bound(5000), 4 * bound**2 * E_TAIL(300)]
+
 
 class TestSharedPrimitives:
     def test_geometric_tail(self):
@@ -203,11 +233,11 @@ class TestPinnedStops:
     @pytest.mark.parametrize("tail, blocks", [(E_TAIL, 9), (ZERO_TAIL, 1)])
     def test_residue_matrix_limits(self, reasons, tail, blocks):
         # wedderburn_product over the periods stops on the tail bound alone,
-        # with no Monitor; a zero bound stops after the first period.
+        # through a Monitor with no window; a zero bound stops after the first period.
         m = np.array([[0, -1], [1, 0]], dtype=complex)
         result = matprod.residue_matrix_limits(lambda i: m + 0.5**i * E, m, 4, tail_bound=tail)
         assert result.n_blocks == blocks
-        assert reasons == []
+        assert reasons == ["tail-bound"]
 
     @pytest.mark.parametrize(
         "tail, n, reason",
@@ -273,8 +303,8 @@ def _spinning_recurrence():
 # cocycle_limit on x_{n+1} = -x_n).  The last field is the last step where
 # it is known in closed form: |q_n| = 0.5, and 2 for a sequence flipping
 # between +-1.  residue_matrix_limits runs wedderburn_product, which stops
-# on its tail bound alone: it gives no Monitor a step, and its error
-# carries no last step.
+# on its tail bound alone: its Monitor has no window and is given one
+# bound per period and no step size (None), and its error carries no last step.
 BUDGET_CASES = {
     "compute_h_direct": (
         lambda spec: limitset.compute_h_direct(spec, 1e-10, 5),
@@ -301,7 +331,7 @@ BUDGET_CASES = {
     ),
     "residue_matrix_limits": (
         lambda spec: matprod.residue_matrix_limits(lambda n: rotation(0.5), np.eye(2), 1, tail_bound=lambda n: 1.0),
-        BudgetExceededError, "product tail above tolerance after 50000 factors", 0, None,
+        BudgetExceededError, "product tail above tolerance after 50000 factors", 50_000, None,
     ),
     "residue_limits_recurrence": (
         lambda spec: recur.residue_limits_recurrence(_spinning_recurrence(), [1.0]),
@@ -318,7 +348,7 @@ class TestBudgetErrors:
             run(worked_spec)
         assert type(info.value) is error and str(info.value) == message
         assert len(deltas) == steps
-        if not steps:
+        if set(deltas) == {None}:  # a loop with no window measures no step
             assert info.value.last_delta is None
             return
         assert math.isfinite(info.value.last_delta)
